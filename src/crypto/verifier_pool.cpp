@@ -168,16 +168,18 @@ void VerifierPool::worker_main() {
     for (auto& t : batch) {
       const bool ok = provider->verify(t.claimed, t.ref.span(), t.sigma);
       if (!t.handle->post_result(t.ref, ok, std::move(t.done))) ++dropped;
-      // Posted or not, the verdict is now out of our hands: the mailbox
-      // (which took its own unit on push) or nobody carries it forward.
-      t.handle->release_unit();
     }
+    // Count the batch before releasing its units: once the last unit is
+    // released wait_idle() may return, and stats() must already show it.
     {
       std::lock_guard<std::mutex> lock(mu_);
       ++stats_.batches;
       stats_.verified += batch.size();
       stats_.dropped += dropped;
     }
+    // Posted or not, each verdict is now out of our hands: the mailbox
+    // (which took its own unit on push) or nobody carries it forward.
+    for (auto& t : batch) t.handle->release_unit();
   }
 }
 

@@ -19,9 +19,10 @@
 //
 // Idle-tracker contract: submit() retains one work unit via the WorkHook;
 // the unit is released only after the verdict task has been pushed into the
-// owner mailbox (which takes its own unit) or the task is dropped at
-// shutdown. IdleTracker::count() == 0 therefore still implies no
-// verification is in flight anywhere — wait_idle() covers the pool.
+// owner mailbox (which takes its own unit) and counted in stats(), or the
+// task is dropped at shutdown. IdleTracker::count() == 0 therefore still
+// implies no verification is in flight anywhere and that the pool's
+// counters are current — wait_idle() covers the pool.
 //
 // The sim runtime never constructs a pool: Cluster verifies synchronously
 // inside handle_block, so seed replay stays byte-deterministic.

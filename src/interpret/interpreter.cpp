@@ -66,17 +66,17 @@ bool Interpreter::interpret_one(const Hash256& ref) {
   return true;
 }
 
-void Interpreter::interpret_block(BlockIdx idx) {
+BlockInterpretation Interpreter::inherit(BlockIdx idx) const {
   const Block& block = *dag_.block_at(idx);
-  const ServerId owner = block.n();
   const std::vector<BlockIdx>& preds = dag_.preds_of(idx);  // deduplicated
   BlockInterpretation st;
 
-  // Line 4: copy the parent's process-instance states (copy-on-write: we
-  // copy shared handles; instances clone only when they process an event).
+  // Line 4: copy the parent's process-instance states. Copying the chunked
+  // map copies chunk handles only; instances clone when they process an
+  // event, and the commit rebuilds only the chunks holding those labels.
   const BlockIdx parent = dag_.parent_of(idx);
   if (parent != kNoBlockIdx && dag_.alive(parent)) {
-    assert(states_[parent].interpreted);
+    assert(interpreted_at(parent));
     st.pis = states_[parent].pis;
   }
 
@@ -126,6 +126,14 @@ void Interpreter::interpret_block(BlockIdx idx) {
     st.active_labels = ActiveLabelSet(
         std::make_shared<const std::vector<Label>>(std::move(own_labels)));
   }
+  return st;
+}
+
+void Interpreter::interpret_block(BlockIdx idx) {
+  const Block& block = *dag_.block_at(idx);
+  const ServerId owner = block.n();
+  const std::vector<BlockIdx>& preds = dag_.preds_of(idx);  // deduplicated
+  BlockInterpretation st = inherit(idx);
 
   std::vector<std::pair<Label, Bytes>> raised;  // indications to emit last
 
@@ -196,10 +204,13 @@ void Interpreter::interpret_block(BlockIdx idx) {
   }
   st.ms_in = std::move(inbox);
 
-  // Commit the advanced instances into B.PIs.
+  // Commit the advanced instances into B.PIs as one sorted batch.
+  std::vector<std::pair<Label, std::shared_ptr<const Process>>> committed;
+  committed.reserve(working.size());
   for (auto& [label, proc] : working) {
-    st.pis[label] = std::shared_ptr<const Process>(std::move(proc));
+    committed.emplace_back(label, std::shared_ptr<const Process>(std::move(proc)));
   }
+  st.pis.apply(std::move(committed));
 
   // Line 12: I[B] = true.
   st.interpreted = true;
@@ -229,11 +240,15 @@ bool Interpreter::restore_block(
   }
   BlockInterpretation st;
   const ServerId owner = dag_.block_at(idx)->n();
+  std::vector<std::pair<Label, std::shared_ptr<const Process>>> pis;
+  pis.reserve(pis_serialized.size());
   for (const auto& [label, bytes] : pis_serialized) {
+    if (!pis.empty() && label <= pis.back().first) return false;
     auto instance = factory_.deserialize(label, owner, n_servers_, bytes);
     if (!instance) return false;
-    st.pis[label] = std::shared_ptr<const Process>(std::move(instance));
+    pis.emplace_back(label, std::shared_ptr<const Process>(std::move(instance)));
   }
+  st.pis.apply(std::move(pis));
   st.ms_out = std::move(ms_out);
   st.active_labels = ActiveLabelSet(std::move(active_labels));
   st.cached_digest = std::move(cached_digest);

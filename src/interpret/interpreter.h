@@ -5,7 +5,10 @@
 // interpreted first), the interpreter
 //   1. copies the process-instance states from B.parent (line 4; genesis
 //     blocks start fresh instances — lazily, as §4 suggests for
-//     implementations);
+//     implementations). The copy is structural: B.PIs is a ChunkedMap, so
+//     B shares its parent's chunks of instance handles and, after step 2–3,
+//     owns new storage only for the chunks holding the labels it advanced;
+//     instances themselves clone on their first event in B;
 //   2. feeds every request (ℓ, r) ∈ B.rs to B.n's simulated instance of ℓ
 //     (lines 5–6), collecting triggered messages into B.Ms[out, ℓ];
 //   3. for every label active in B's ancestry, gathers in-messages
@@ -24,10 +27,12 @@
 // paper's message compression (Section 4 discussion).
 //
 // Layout: interpretation state is a contiguous std::vector indexed by the
-// DAG's dense BlockIdx, and per-block buffers are sorted flat vectors
-// (FlatMap) rather than node-based maps/sets — one allocation per buffer
-// instead of one per entry, and ordered iteration identical to std::map,
-// which keeps digest_of() byte-stable across the representation change.
+// DAG's dense BlockIdx. The per-block message buffers are sorted flat
+// vectors (FlatMap) — one allocation per buffer instead of one per entry.
+// B.PIs, which every block inherits whole from its parent, is a ChunkedMap
+// whose untouched chunks are shared between versions, so a block retains
+// only what changed in it. Both iterate in std::map order, which keeps
+// digest_of() byte-stable across representation changes.
 #pragma once
 
 #include <algorithm>
@@ -37,6 +42,7 @@
 
 #include "dag/dag.h"
 #include "protocol/protocol.h"
+#include "util/chunked_map.h"
 #include "util/flat_map.h"
 
 namespace blockdag {
@@ -82,8 +88,9 @@ struct BlockInterpretation {
   bool interpreted = false;  // I[B]
 
   // B.PIs[ℓ]: state of instance ℓ of server B.n after interpreting B.
-  // Shared pointers implement copy-on-write along parent chains.
-  FlatMap<Label, std::shared_ptr<const Process>> pis;
+  // Shared instance pointers in shared chunks implement copy-on-write along
+  // parent chains, at both the instance and the map level.
+  ChunkedMap<Label, std::shared_ptr<const Process>> pis;
 
   // B.Ms[in, ℓ] / B.Ms[out, ℓ].
   FlatMap<Label, std::vector<Message>> ms_in;
@@ -164,7 +171,8 @@ class Interpreter {
   // only per-builder tip blocks ever have their instance states read again
   // (line 4 copies from the parent, and only tips become parents of new
   // blocks). Returns false — without mutating state — if the block is not
-  // live, already interpreted, or an instance fails to deserialize.
+  // live, already interpreted, its labels are not strictly ascending, or an
+  // instance fails to deserialize.
   bool restore_block(const Hash256& ref, Bytes cached_digest,
                      ActiveLabelSet::Handle active_labels,
                      FlatMap<Label, std::vector<Message>> ms_out,
@@ -190,6 +198,11 @@ class Interpreter {
     return idx < states_.size() && states_[idx].interpreted;
   }
   bool eligible_at(BlockIdx idx) const;
+  // The state B starts from before any event is fed: line 4's copy of the
+  // parent's PIs plus the line-7 active-label set of B's ancestry. Shared
+  // by the serial pass and the parallel engine's merge, whose preds are
+  // always committed by the time it runs.
+  BlockInterpretation inherit(BlockIdx idx) const;
   void interpret_block(BlockIdx idx);
   // Grows states_ to cover every DAG slot (call before index-based access).
   // Slots are only ever appended — BlockIdx slots are stable tombstones

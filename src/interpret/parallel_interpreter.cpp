@@ -249,8 +249,8 @@ void ParallelInterpreter::process_shard(Batch& b, std::size_t shard) const {
 }
 
 // Reassembles BlockInterpretations in dense order on the owner thread. This
-// is byte-for-byte the serial interpret_block commit: parent PIs handles,
-// the active-label copy-on-write merge, label-sorted buffer maps, and the
+// is byte-for-byte the serial interpret_block commit: the shared inherit()
+// start state, one sorted PIs batch, label-sorted buffer maps, and the
 // serial indication order (request-phase by rs index, then message-phase in
 // label order).
 std::size_t ParallelInterpreter::merge(Batch& b) const {
@@ -261,59 +261,10 @@ std::size_t ParallelInterpreter::merge(Batch& b) const {
     const BlockIdx idx = b.blocks[bi];
     const Block& block = *dag.block_at(idx);
     const ServerId owner = block.n();
-    const std::vector<BlockIdx>& preds = dag.preds_of(idx);
-    BlockInterpretation st;
-
-    const BlockIdx parent = dag.parent_of(idx);
-    if (parent != kNoBlockIdx && dag.alive(parent)) {
-      assert(interp.interpreted_at(parent));
-      st.pis = interp.states_[parent].pis;
-    }
-
-    // Active-label set: unchanged serial logic — every pred is merged by
-    // now (lower dense index), so the copy-on-write sharing fast path sees
-    // exactly the handles the serial pass would.
-    std::vector<Label> own_labels;
-    own_labels.reserve(block.rs().size());
-    for (const LabeledRequest& lr : block.rs()) own_labels.push_back(lr.label);
-    std::sort(own_labels.begin(), own_labels.end());
-    own_labels.erase(std::unique(own_labels.begin(), own_labels.end()),
-                     own_labels.end());
-
-    const ActiveLabelSet* base = nullptr;
-    for (BlockIdx p : preds) {
-      if (!interp.interpreted_at(p)) continue;
-      const ActiveLabelSet& s = interp.states_[p].active_labels;
-      if (!s.empty() && (!base || s.size() > base->size())) base = &s;
-    }
-    if (base != nullptr) {
-      bool can_share = std::includes(base->begin(), base->end(),
-                                     own_labels.begin(), own_labels.end());
-      for (BlockIdx p : preds) {
-        if (!can_share) break;
-        if (!interp.interpreted_at(p)) continue;
-        const ActiveLabelSet& s = interp.states_[p].active_labels;
-        if (s.empty() || s.handle() == base->handle()) continue;
-        can_share = std::includes(base->begin(), base->end(), s.begin(), s.end());
-      }
-      if (can_share) {
-        st.active_labels = *base;
-      } else {
-        std::vector<Label> merged = own_labels;
-        for (BlockIdx p : preds) {
-          if (!interp.interpreted_at(p)) continue;
-          const ActiveLabelSet& s = interp.states_[p].active_labels;
-          merged.insert(merged.end(), s.begin(), s.end());
-        }
-        std::sort(merged.begin(), merged.end());
-        merged.erase(std::unique(merged.begin(), merged.end()), merged.end());
-        st.active_labels = ActiveLabelSet(
-            std::make_shared<const std::vector<Label>>(std::move(merged)));
-      }
-    } else if (!own_labels.empty()) {
-      st.active_labels = ActiveLabelSet(
-          std::make_shared<const std::vector<Label>>(std::move(own_labels)));
-    }
+    // Line 4 + the active-label set: exactly the serial start state —
+    // every pred is merged by now (lower dense index), so the copy-on-write
+    // sharing paths see exactly the handles the serial pass would.
+    BlockInterpretation st = interp.inherit(idx);
 
     // Gather this block's cells across shards, sorted by label. Shards own
     // disjoint labels, so this is a plain merge with no conflicts.
@@ -326,15 +277,18 @@ std::size_t ParallelInterpreter::merge(Batch& b) const {
     std::sort(cells.begin(), cells.end(),
               [](const auto& x, const auto& y) { return x.first < y.first; });
 
+    std::vector<std::pair<Label, std::shared_ptr<const Process>>> committed;
+    committed.reserve(cells.size());
     for (auto& [label, cell] : cells) {
       assert(cell->pi && "every simulated cell commits an instance");
-      st.pis[label] = std::move(cell->pi);
+      committed.emplace_back(label, std::move(cell->pi));
       if (!cell->ms_in.empty()) st.ms_in[label] = std::move(cell->ms_in);
       // The serial absorb creates the Ms[out] entry for every simulated
       // label even when no message materialized — digest_of serializes the
       // empty entry, so presence must match exactly.
       st.ms_out[label] = std::move(cell->ms_out);
     }
+    st.pis.apply(std::move(committed));
 
     // Line 12 + stats, then lines 13–14 in the exact serial raise order.
     st.interpreted = true;

@@ -13,7 +13,11 @@
 //    and successor state. This is what makes interpretation server-
 //    independent (Lemma 4.2) and message compression sound.
 //  * Cloneability — the interpreter copies PIs from parent blocks
-//    (Algorithm 2 line 4); `clone()` must produce an independent deep copy.
+//    (Algorithm 2 line 4); `clone()` must produce an independent copy:
+//    stepping either copy never changes the other's state. Immutable
+//    sub-state may be shared between the copies via thread-safe handles,
+//    and clone() may be called on one instance from several threads at
+//    once (the parallel engine clones committed instances concurrently).
 //  * Robustness — inputs may originate from byzantine-built blocks:
 //    duplicate, conflicting, or malformed payloads must not crash the
 //    instance (it is a *BFT* protocol, after all).
@@ -45,7 +49,8 @@ class Process {
   // The simulated server this instance runs as.
   virtual ServerId self() const = 0;
 
-  // Deep copy (Algorithm 2 line 4: B.PIs ≔ copy B.parent.PIs).
+  // Independent copy (Algorithm 2 line 4: B.PIs ≔ copy B.parent.PIs);
+  // immutable sub-state may be shared via thread-safe handles.
   virtual std::unique_ptr<Process> clone() const = 0;
 
   // High-level interface: request r ∈ Rqsts_P (Algorithm 2 line 6).

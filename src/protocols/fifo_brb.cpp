@@ -59,6 +59,41 @@ std::optional<Delivery> parse_deliver(const Bytes& indication) {
   return Delivery{*origin, *seq, std::move(*value)};
 }
 
+FifoBrbProcess::FifoBrbProcess(const FifoBrbProcess& other)
+    : Process(),
+      self_(other.self_),
+      n_(other.n_),
+      epoch_(other.epoch_ + 1),
+      next_own_seq_(other.next_own_seq_),
+      slots_(other.slots_),
+      ready_to_deliver_(other.ready_to_deliver_),
+      next_deliver_seq_(other.next_deliver_seq_) {}
+
+std::unique_ptr<Process> FifoBrbProcess::clone() const {
+  lent_.store(true);
+  return std::unique_ptr<Process>(new FifoBrbProcess(*this));
+}
+
+FifoBrbProcess::Slot& FifoBrbProcess::writable_slot(const SlotKey& key) {
+  // Every slot entry's epoch is <= epoch_, so stepping past it disowns all
+  // slots the clones now share.
+  if (lent_.load()) {
+    lent_.store(false);
+    ++epoch_;
+  }
+  SlotRef& ref = slots_[key];
+  if (!ref.slot) {
+    ref.slot = std::make_shared<Slot>();
+    ref.epoch = epoch_;
+  } else if (ref.epoch != epoch_) {
+    ref.slot = std::make_shared<Slot>(*ref.slot);
+    ref.epoch = epoch_;
+  }
+  // Owned slots were allocated above as non-const Slot objects, so writing
+  // through the handle is well-defined; no other instance references them.
+  return const_cast<Slot&>(*ref.slot);
+}
+
 StepResult FifoBrbProcess::send_to_all(std::uint8_t type, ServerId origin,
                                        std::uint64_t seq, const Bytes& value) {
   Writer w;
@@ -76,8 +111,7 @@ StepResult FifoBrbProcess::send_to_all(std::uint8_t type, ServerId origin,
 }
 
 void FifoBrbProcess::maybe_progress(StepResult& result, const SlotKey& key,
-                                    const Bytes& value) {
-  Slot& slot = slots_[key];
+                                    Slot& slot, const Bytes& value) {
   const std::uint32_t quorum = byzantine_quorum(n_);
   const std::uint32_t amplify = plausibility_quorum(n_);
 
@@ -115,7 +149,7 @@ StepResult FifoBrbProcess::on_request(const Bytes& request) {
   // request order, which makes the stream FIFO by construction.
   const std::uint64_t seq = next_own_seq_++;
   const SlotKey key{self_, seq};
-  Slot& slot = slots_[key];
+  Slot& slot = writable_slot(key);
   if (slot.echoed) return result;
   slot.echoed = true;
   result.append(send_to_all(kMsgEcho, self_, seq, *value));
@@ -128,7 +162,7 @@ StepResult FifoBrbProcess::on_message(const Message& message) {
   if (!parsed || parsed->origin >= n_) return result;
 
   const SlotKey key{parsed->origin, parsed->seq};
-  Slot& slot = slots_[key];
+  Slot& slot = writable_slot(key);
   if (parsed->type == kMsgEcho) {
     slot.echos[parsed->value].insert(message.sender);
     if (!slot.echoed) {
@@ -140,7 +174,7 @@ StepResult FifoBrbProcess::on_message(const Message& message) {
   } else {
     return result;
   }
-  maybe_progress(result, key, parsed->value);
+  maybe_progress(result, key, slot, parsed->value);
   return result;
 }
 
@@ -148,7 +182,8 @@ Bytes FifoBrbProcess::state_digest() const {
   Writer w;
   w.u64(next_own_seq_);
   w.u32(static_cast<std::uint32_t>(slots_.size()));
-  for (const auto& [key, slot] : slots_) {
+  for (const auto& [key, ref] : slots_) {
+    const Slot& slot = *ref.slot;
     w.u32(key.first);
     w.u64(key.second);
     w.u8(slot.echoed);
@@ -181,7 +216,8 @@ Bytes FifoBrbProcess::serialize() const {
   // slots_ encoded inline — Slot is a private aggregate, so the generic
   // map helper cannot name it from namespace scope.
   w.u32(static_cast<std::uint32_t>(slots_.size()));
-  for (const auto& [key, slot] : slots_) {
+  for (const auto& [key, ref] : slots_) {
+    const Slot& slot = *ref.slot;
     put(w, key);
     put(w, slot.echoed);
     put(w, slot.readied);
@@ -203,13 +239,13 @@ bool FifoBrbProcess::restore(const Bytes& state) {
   slots_.clear();
   for (std::uint32_t i = 0; i < *count; ++i) {
     SlotKey key{};
-    Slot slot;
-    if (!get(r, key) || !get(r, slot.echoed) || !get(r, slot.readied) ||
-        !get(r, slot.delivered) || !get(r, slot.echos) ||
-        !get(r, slot.readies)) {
+    auto slot = std::make_shared<Slot>();
+    if (!get(r, key) || !get(r, slot->echoed) || !get(r, slot->readied) ||
+        !get(r, slot->delivered) || !get(r, slot->echos) ||
+        !get(r, slot->readies)) {
       return false;
     }
-    if (!slots_.emplace(key, std::move(slot)).second) return false;
+    if (!slots_.emplace(key, SlotRef{std::move(slot), epoch_}).second) return false;
   }
   return get(r, ready_to_deliver_) && get(r, next_deliver_seq_) &&
          r.remaining() == 0;

@@ -12,7 +12,9 @@
 //   M     = { ECHO (o,s,v), READY (o,s,v) }
 #pragma once
 
+#include <atomic>
 #include <map>
+#include <memory>
 #include <optional>
 #include <set>
 
@@ -35,9 +37,9 @@ class FifoBrbProcess final : public Process {
   FifoBrbProcess(ServerId self, std::uint32_t n_servers) : self_(self), n_(n_servers) {}
 
   ServerId self() const override { return self_; }
-  std::unique_ptr<Process> clone() const override {
-    return std::make_unique<FifoBrbProcess>(*this);
-  }
+  // Copies the slot index, not the slots: both copies share every slot
+  // until one of them first writes it (see writable_slot()).
+  std::unique_ptr<Process> clone() const override;
 
   StepResult on_request(const Bytes& request) override;
   StepResult on_message(const Message& message) override;
@@ -54,17 +56,42 @@ class FifoBrbProcess final : public Process {
     std::map<Bytes, std::set<ServerId>> readies;
   };
   using SlotKey = std::pair<ServerId, std::uint64_t>;
+  // A slot handle, shared with clones until one side writes the slot.
+  // `epoch` is the epoch of the instance that allocated this slot: the
+  // instance may write it in place only while its own epoch_ still equals
+  // it and it has not been lent since.
+  struct SlotRef {
+    std::shared_ptr<const Slot> slot;
+    std::uint64_t epoch = 0;
+  };
 
+  // The clone's copy: shares every slot and owns none of them.
+  FifoBrbProcess(const FifoBrbProcess& other);
+
+  // The slot at `key`, created or copied so that this instance alone holds
+  // it. Every state change to a slot goes through here.
+  Slot& writable_slot(const SlotKey& key);
   StepResult send_to_all(std::uint8_t type, ServerId origin, std::uint64_t seq,
                          const Bytes& value);
-  void maybe_progress(StepResult& result, const SlotKey& key, const Bytes& value);
+  void maybe_progress(StepResult& result, const SlotKey& key, Slot& slot,
+                      const Bytes& value);
   void flush_fifo(StepResult& result, ServerId origin);
 
   ServerId self_;
   std::uint32_t n_;
 
+  // Slot ownership, tracked per instance rather than through
+  // shared_ptr::use_count(), which concurrent clones of a committed
+  // instance would make racy. A clone starts at its source's epoch + 1, so
+  // it owns none of the slots it copied; clone() sets the source's `lent_`,
+  // and the source's next write moves it to a fresh epoch likewise. The
+  // flag is the only state clone() writes, and it is atomic, so any number
+  // of threads may clone one instance at once.
+  std::uint64_t epoch_ = 0;
+  mutable std::atomic<bool> lent_{false};
+
   std::uint64_t next_own_seq_ = 0;
-  std::map<SlotKey, Slot> slots_;
+  std::map<SlotKey, SlotRef> slots_;
   // Slot-delivered values awaiting FIFO order, per origin.
   std::map<ServerId, std::map<std::uint64_t, Bytes>> ready_to_deliver_;
   std::map<ServerId, std::uint64_t> next_deliver_seq_;

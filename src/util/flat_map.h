@@ -1,10 +1,13 @@
 // Sorted flat map: contiguous storage, binary-search lookup, ordered
 // iteration bit-identical to std::map's.
 //
-// The interpreter keeps per-block buffers (B.PIs, B.Ms[in], B.Ms[out])
-// keyed by Label. Those maps are tiny (a handful of labels per block) but
-// are created, copied, and iterated once per interpreted block — the hot
-// path of Algorithm 2. A red-black tree pays one allocation per node and
+// The interpreter keeps per-block message buffers (B.Ms[in], B.Ms[out])
+// keyed by Label. Those maps hold only the labels a block actually fed or
+// produced messages for, and are built and iterated once per interpreted
+// block — the hot path of Algorithm 2. (B.PIs is different: it holds every
+// label its builder ever simulated and is inherited whole by the next
+// block, so it lives in the structurally shared util/chunked_map.h
+// instead.) A red-black tree pays one allocation per node and
 // chases pointers on every copy and walk; a sorted vector is one
 // allocation total, copies with memmove-ish loops, and iterates linearly.
 // Inserts shift the tail, which is the right trade at these sizes.

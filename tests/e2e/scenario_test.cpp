@@ -8,6 +8,7 @@
 #include <set>
 
 #include "runtime/scenario.h"
+#include "util/hex.h"
 
 namespace blockdag {
 namespace {
@@ -64,6 +65,37 @@ TEST(Scenario, DeterministicReplay) {
   cfg.seed = 43;
   const ScenarioResult c = run_scenario(cfg);
   EXPECT_NE(a.run_digest, c.run_digest);
+}
+
+TEST(Scenario, GoldenRunDigests) {
+  // Cross-commit pin: run_digest folds every block's Interpreter::digest_of
+  // (Lemma 4.2), so these fixed values prove the interpretation state — and
+  // the cached_digest checkpoints store — stays byte-identical across
+  // representation changes of B.PIs or of a protocol's internal state.
+  // Reproduce one with `simctl replay --seed S --protocol P --n 4 --trace F`.
+  struct Golden {
+    const char* protocol;
+    std::uint64_t seed;
+    const char* run_digest;
+  };
+  const Golden golden[] = {
+      {"brb", 5, "ce36574c92140668e572cf36d187b31fe590d655cda4a437f2dc2180d14b997e"},
+      {"bcb", 1, "eb01cf35213b2e5fe58fcd4c2d3cf9c6dbcc6951bfb7931dc72e81535c7dd99f"},
+      {"fifo", 7, "c0d19019efadfcf1bf64bc443d1efe1ad3740a97d638c10c7687897051aef58a"},
+      {"pbft", 3, "cf77a7351a5cb1460e57ecd595addd9ec156b836db197813efbceb8dd76bfb6d"},
+      {"beacon", 9, "e80313fdddb314fd735dd5bb64fc04e86296218f256368d46f141591dcbea6d1"},
+  };
+  for (const Golden& g : golden) {
+    ScenarioConfig cfg;
+    cfg.seed = g.seed;
+    cfg.protocol = g.protocol;
+    cfg.n_servers = 4;
+    const ScenarioResult result = run_scenario(cfg);
+    ASSERT_TRUE(result.ok()) << g.protocol << " seed " << g.seed;
+    EXPECT_EQ(to_hex(std::span(result.run_digest.data(), result.run_digest.size())),
+              g.run_digest)
+        << g.protocol << " seed " << g.seed;
+  }
 }
 
 TEST(Scenario, UnknownProtocolIsAnError) {

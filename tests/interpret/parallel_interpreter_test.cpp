@@ -8,6 +8,7 @@
 // work_units, ...) may differ from the serial interpreter.
 //
 // Covered here: honest random DAGs across seeds and worker counts 1/2/8,
+// FIFO-BRB streams (slot history shared between clones) at 2 and 8 workers,
 // shard-claim-order independence (salted claim permutations), incremental
 // batch-by-batch interpretation, the serial fallbacks (stopped pool, work
 // below min_batch_work), equivocation forks in the parent chain, an
@@ -21,6 +22,7 @@
 #include "interpret/interpreter.h"
 #include "interpret/parallel_interpreter.h"
 #include "protocols/brb.h"
+#include "protocols/fifo_brb.h"
 #include "rt/threaded_runtime.h"
 #include "runtime/cluster.h"
 #include "testing/random_dag.h"
@@ -126,6 +128,36 @@ TEST(ParallelInterpreter, DifferentialAcrossWorkerCounts) {
   }
 }
 
+TEST(ParallelInterpreter, FifoStreamsMatchSerialAcrossWorkerCounts) {
+  // FIFO-BRB instances share slot history between clones, and the engine's
+  // workers clone committed instances concurrently: the sharing must stay
+  // invisible in every digest, indication and clone count.
+  fifo::FifoBrbFactory factory;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    BlockForge forge(4);
+    RandomDagConfig cfg;
+    cfg.rounds = 12;
+    cfg.broadcasts = 10;
+    cfg.streams = 3;
+    cfg.make_request = fifo::make_broadcast;
+    const auto rd = make_random_dag(forge, cfg, seed);
+
+    const InterpretedRun serial = run_serial(rd.dag, factory, 4);
+    ASSERT_EQ(serial.stats.blocks_interpreted, rd.dag.size());
+    ASSERT_GT(serial.stats.instance_clones, 0u);
+    for (const std::size_t workers : {std::size_t{2}, std::size_t{8}}) {
+      ParallelInterpretConfig pcfg;
+      pcfg.workers = workers;
+      pcfg.min_batch_work = 0;
+      const InterpretedRun par = run_parallel(rd.dag, factory, 4, pcfg);
+      EXPECT_EQ(par.digests, serial.digests) << "seed=" << seed << " workers=" << workers;
+      EXPECT_EQ(par.indications, serial.indications)
+          << "seed=" << seed << " workers=" << workers;
+      expect_same_effort(par.stats, serial.stats);
+    }
+  }
+}
+
 TEST(ParallelInterpreter, BuffersMatchSerialExactly) {
   brb::BrbFactory factory;
   BlockForge forge(5);
@@ -156,10 +188,10 @@ TEST(ParallelInterpreter, BuffersMatchSerialExactly) {
     EXPECT_TRUE(s->ms_in == p->ms_in) << b->ref().short_hex();
     EXPECT_TRUE(s->ms_out == p->ms_out) << b->ref().short_hex();
     ASSERT_EQ(s->pis.size(), p->pis.size());
-    for (std::size_t i = 0; i < s->pis.size(); ++i) {
-      EXPECT_EQ((s->pis.begin() + i)->first, (p->pis.begin() + i)->first);
-      EXPECT_EQ((s->pis.begin() + i)->second->state_digest(),
-                (p->pis.begin() + i)->second->state_digest());
+    for (auto si = s->pis.begin(), pi = p->pis.begin(); si != s->pis.end();
+         ++si, ++pi) {
+      EXPECT_EQ(si->first, pi->first);
+      EXPECT_EQ(si->second->state_digest(), pi->second->state_digest());
     }
   }
 }

@@ -23,13 +23,21 @@ struct RandomDagConfig {
   double block_probability = 0.8;
   // Probability an available (unreferenced) foreign block gets referenced.
   double reference_probability = 0.7;
-  // Number of BRB broadcast requests inscribed into random early blocks.
+  // Number of broadcast requests inscribed into random early blocks.
   std::uint32_t broadcasts = 2;
+  // Encodes a broadcast request; BRB and FIFO-BRB share the wire format but
+  // each protocol names its own encoder.
+  Bytes (*make_request)(const Bytes&) = brb::make_broadcast;
+  // 0: every broadcast gets a fresh label. k > 0: broadcasts cycle over
+  // labels 1..k, so a stream protocol (FIFO-BRB) carries several values
+  // per label.
+  std::uint32_t streams = 0;
 };
 
 struct RandomDag {
   BlockDag dag;
-  // label → (origin server, value) of each inscribed broadcast.
+  // label → (origin server, value) of each inscribed broadcast (the last
+  // one per label when `streams` reuses labels).
   std::map<Label, std::pair<ServerId, std::uint8_t>> broadcasts;
 };
 
@@ -68,9 +76,9 @@ inline RandomDag make_random_dag(BlockForge& forge, const RandomDagConfig& cfg,
       if (broadcasts_left > 0 && rng.chance(0.5)) {
         --broadcasts_left;
         const auto value = static_cast<std::uint8_t>(rng.below(200));
-        rs.push_back({next_label, brb::make_broadcast(Bytes{value})});
+        rs.push_back({next_label, cfg.make_request(Bytes{value})});
         out.broadcasts[next_label] = {s, value};
-        ++next_label;
+        next_label = cfg.streams == 0 ? next_label + 1 : next_label % cfg.streams + 1;
       }
 
       BlockPtr block = forge.block(s, next_k[s]++, std::move(preds), std::move(rs));

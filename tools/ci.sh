@@ -63,16 +63,19 @@ cmake --build build-ci-tsan -j "$jobs" \
       --target rt_threaded_runtime_test rt_tcp_runtime_test \
                rt_udp_runtime_test rt_timer_wheel_test rt_crash_restart_test \
                rt_mailbox_batch_test \
-               crypto_verifier_pool_test interpret_parallel_interpreter_test
+               crypto_verifier_pool_test interpret_parallel_interpreter_test \
+               protocols_fifo_sharing_test
 (cd build-ci-tsan && ctest --output-on-failure \
-    -R '^(rt/(threaded_runtime_test|tcp_runtime_test|udp_runtime_test|timer_wheel_test|crash_restart_test|mailbox_batch_test)|crypto/verifier_pool_test|interpret/parallel_interpreter_test)$')
+    -R '^(rt/(threaded_runtime_test|tcp_runtime_test|udp_runtime_test|timer_wheel_test|crash_restart_test|mailbox_batch_test)|crypto/verifier_pool_test|interpret/parallel_interpreter_test|protocols/fifo_sharing_test)$')
 # The pool's shutdown race is timing-shaped: loop the Tsan binaries so the
 # sanitizer sees many distinct stop()-vs-batch interleavings (the parallel
 # interpreter shares the verifier pool's owner-drains-the-bag protocol;
-# the mailbox batch-drain races four producers against the swap).
+# the mailbox batch-drain races four producers against the swap; engine
+# workers clone committed FIFO-BRB instances whose slots they share).
 for i in 1 2 3 4 5 6 7 8 9 10; do
   ./build-ci-tsan/crypto_verifier_pool_test >/dev/null
   ./build-ci-tsan/interpret_parallel_interpreter_test >/dev/null
+  ./build-ci-tsan/protocols_fifo_sharing_test >/dev/null
   ./build-ci-tsan/rt_mailbox_batch_test >/dev/null
 done
 
