@@ -162,10 +162,11 @@ void sweep_signatures(BenchReport& report, SimTime duration) {
 // nodes idle between beats, the adaptive flush finds the socket writable
 // and sends plain frames, and both modes measure the same ceiling. This
 // sweep makes the *wire* the bottleneck instead: 200µs beats and a deeper
-// request backlog, so per-envelope cost (one frame encode + one write()
-// each) dominates and coalescing has something to amortize. `batch off`
-// takes the exact pre-batching code path (per-task mailbox wakeups,
-// per-envelope sends) — the honest baseline. Convergence (Lemma 3.7:
+// request backlog, so per-envelope cost (one frame encode + one wire
+// frame each) dominates and coalescing has something to amortize. `batch
+// off` takes per-task mailbox wakeups and per-envelope sends, and the
+// transport ships one envelope per frame on its single send path (frames
+// still leave through writev) — the baseline. Convergence (Lemma 3.7:
 // every server's DAG digest byte-identical) is asserted per leg and a
 // divergence fails the bench run with exit 1: a throughput delta between
 // runs that did not reach the same joint DAG would be meaningless.
@@ -215,9 +216,10 @@ bool sweep_batching(BenchReport& report, SimTime duration) {
 // and cap the visible gain. Here the workload is the raw wire pattern of
 // a dissemination beat — every server broadcasts one small envelope per
 // round, n·(n−1) envelopes crossing real sockets (plus n self-deliveries)
-// — and the handler just counts. off: every envelope is its own frame encode + write() + one
-// mailbox task at the receiver. on: pending envelopes pack into kBatch
-// frames drained by writev, one mailbox task dispatching a whole batch.
+// — and the handler just counts. off: every envelope is its own frame
+// (max_batch_frames = 1) and its own mailbox task at the receiver. on:
+// pending envelopes pack into kBatch frames, one mailbox task dispatching
+// a whole batch. Both legs drain the wire queue with writev.
 // The flow-control window keeps the driver inside the per-peer queue
 // caps so nothing is evicted: every sent envelope is delivered and the
 // clock stops only when the last one lands.
@@ -246,7 +248,7 @@ WireResult run_wire(std::uint32_t n, std::uint64_t rounds, std::size_t payload,
   }
   rt::TcpConfig cfg;
   cfg.n_servers = n;
-  cfg.batch_enabled = batching;
+  if (!batching) cfg.max_batch_frames = 1;
   rt::TcpTransport transport(cfg, raw, &idle);
   if (!transport.ok()) return {};
   std::atomic<std::uint64_t> received{0};

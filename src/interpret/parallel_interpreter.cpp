@@ -122,7 +122,11 @@ void ParallelInterpreter::worker_main() {
 }
 
 void ParallelInterpreter::finish_shard(Batch& batch) const {
-  if (batch.done.fetch_add(1) + 1 == batch.n_shards) {
+  // Read n_shards before the fetch_add: once this shard is counted, another
+  // finisher may complete the batch and its owner return, ending the
+  // Batch's lifetime (it lives on the owner's stack).
+  const std::size_t n_shards = batch.n_shards;
+  if (batch.done.fetch_add(1) + 1 == n_shards) {
     std::lock_guard<std::mutex> lk(batch.done_mu);
     batch.complete = true;
     batch.done_cv.notify_all();

@@ -5,6 +5,11 @@
 // arrive split across any number of reads), so the same protocol stack
 // that runs on the simulator and the loopback runtime spans OS processes.
 //
+// This file holds only the TCP wire: acceptors, outbound dial with jittered
+// backoff, stream decoding and the writev() flush. Handler routing, the
+// send front end, envelope packing and inbound dispatch are the shared
+// link layer (rt/socket_transport.h).
+//
 // Topology: every server owns one acceptor (listening on base_port + id,
 // or an ephemeral port when the whole cluster lives in one process) and
 // one *outbound* connection per peer, used only for sending; inbound
@@ -24,16 +29,11 @@
 // version or kind) resets the connection rather than attempting to
 // re-synchronise against a potentially byzantine peer.
 //
-// broadcast() encodes the frame once and shares one immutable buffer
-// across all n−1 peer queues — the same single-allocation discipline as
-// SimNetwork::broadcast and LoopbackTransport.
-//
-// Envelope coalescing (DESIGN.md §13): with batch_enabled, sends park as
-// shared-payload envelopes per link; the poll thread packs everything
-// pending into kBatch frames at flush time and drains the wire queue with
-// writev(), so N small sends cost one frame and one syscall instead of N.
-// Receivers always unpack kBatch frames (one mailbox task dispatches every
-// inner envelope), independent of their own batching knob.
+// Sending (DESIGN.md §13): sends park as shared-payload envelopes per
+// link — a broadcast shares one immutable payload buffer across all n−1
+// peer queues; at flush time the poll thread packs everything pending into
+// frames (kBatch for two or more) and drains the wire queue with writev(),
+// so N small sends cost one frame and one syscall instead of N.
 #pragma once
 
 #include <chrono>
@@ -41,14 +41,11 @@
 #include <deque>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "net/frame.h"
-#include "net/transport.h"
-#include "rt/mailbox.h"
+#include "rt/socket_transport.h"
 
 namespace blockdag::rt {
 
@@ -83,14 +80,14 @@ struct TcpConfig {
   std::size_t max_queued_bytes_per_peer = 64u << 20;
   std::size_t max_frame_payload = kMaxFramePayload;
   // --- Envelope coalescing (DESIGN.md §13) ---
-  // When enabled, sends park as envelopes on the link and the poll thread
-  // packs everything pending into kBatch frames at flush time, draining
-  // the wire queue with writev. The flush window is adaptive with no
-  // timer: new work on an idle link wakes the poll thread immediately
-  // (flush now), and whatever accumulates while the socket or the poll
-  // thread is busy coalesces up to the caps below — the latency bound is
-  // the poll servicing latency, well under the few-ms contract.
-  bool batch_enabled = true;
+  // Sends park as envelopes on the link and the poll thread packs
+  // everything pending into wire frames at flush time, draining the wire
+  // queue with writev. The flush window is adaptive with no timer: new
+  // work on an idle link wakes the poll thread immediately (flush now),
+  // and whatever accumulates while the socket or the poll thread is busy
+  // coalesces up to the caps below — the latency bound is the poll
+  // servicing latency, well under the few-ms contract. max_batch_frames = 1
+  // ships one envelope per frame (`--batch off`).
   std::size_t max_batch_frames = 64;        // inner envelopes per kBatch
   std::size_t max_batch_bytes = 128u << 10; // kBatch payload ceiling
 };
@@ -125,41 +122,13 @@ struct TcpLinkStats {
   std::uint64_t batched_envelopes = 0; // inners across those batches
 };
 
-class TcpTransport final : public Transport {
+class TcpTransport final : public SocketTransport {
  public:
-  // `mailboxes` is indexed by ServerId and must be non-null exactly for the
-  // local servers; pointers must outlive the transport. `idle` (optional)
-  // counts queued-but-unsent frames as outstanding work so wait_idle()
-  // covers the send path. Acceptors are bound in the constructor (check
-  // ok()); no traffic moves until start().
+  // See SocketTransport for `mailboxes` and `idle`. Acceptors are bound in
+  // the constructor (check ok()); no traffic moves until start().
   TcpTransport(TcpConfig config, std::vector<Mailbox*> mailboxes,
                IdleTracker* idle = nullptr);
-  ~TcpTransport();  // stop()s
-
-  // False if any acceptor failed to bind/listen (port already in use).
-  bool ok() const { return ok_; }
-  // Actual listen port of `server` (resolves ephemeral binds for local
-  // servers; base_port + s for remote ones).
-  std::uint16_t port_of(ServerId server) const;
-
-  void start();  // launches the poll thread; idempotent
-  void stop();   // closes every socket, drains queues, joins; idempotent
-
-  // Transport interface.
-  void attach(ServerId server, Handler handler) override;
-  std::uint32_t size() const override { return config_.n_servers; }
-  void send(ServerId from, ServerId to, WireKind kind, Bytes payload) override;
-  void broadcast(ServerId from, WireKind kind, const Bytes& payload) override;
-  void send_many(ServerId from, ServerId to,
-                 const std::vector<Envelope>& envelopes) override;
-  void broadcast_many(ServerId from,
-                      const std::vector<Envelope>& envelopes) override;
-  WireMetrics wire_metrics() const override;
-
-  // Control plane: frames sent with WireKind::kControl are routed to this
-  // handler instead of the attached protocol handler (used by the
-  // multi-process runtime for its digest-exchange settle protocol).
-  void set_control_handler(ServerId server, Handler handler);
+  ~TcpTransport() override;  // stop()s
 
   // Test hook: hard-closes every established socket between `a` and `b`
   // (both directions). Queued-but-unsent frames survive and are resent
@@ -171,24 +140,16 @@ class TcpTransport final : public Transport {
   TcpLinkStats link_stats(ServerId from, ServerId to) const;
 
  private:
-  // One encoded wire frame awaiting the kernel; `units` is the number of
-  // envelopes it carries (1 for a plain frame, k for a kBatch), so idle
-  // tracking and drop accounting stay per-envelope.
-  struct WireFrame {
-    std::shared_ptr<const Bytes> bytes;
-    std::uint32_t units = 1;
-    std::size_t payload_bytes = 0;  // byte-budget accounting
-  };
   struct OutConn {
     enum class State { kIdle, kConnecting, kConnected, kBackoff };
     int fd = -1;
     State state = State::kIdle;
-    std::chrono::steady_clock::time_point retry_at{};
-    // Batching mode: envelopes admitted but not yet packed into frames.
+    Clock::time_point retry_at{};
+    // Envelopes admitted but not yet packed into frames.
     std::deque<Envelope> pending;
-    // Encoded frames awaiting the kernel; broadcast (unbatched) shares one
-    // buffer across every peer's queue.
-    std::deque<WireFrame> queue;
+    // Packed frames awaiting the kernel; `units` keeps idle tracking and
+    // drop accounting per envelope.
+    std::deque<PackedFrame> queue;
     std::size_t front_offset = 0;  // bytes of queue.front() already written
     // Cap accounting across pending + queue, in envelopes and payload bytes.
     std::size_t queued_envelopes = 0;
@@ -203,50 +164,40 @@ class TcpTransport final : public Transport {
     FrameDecoder decoder;
     bool dead = false;
   };
+  // What fds[i] of the current poll round is, for i >= 1.
+  struct PollEntry {
+    enum class Slot { kAcceptor, kIn, kOut } slot;
+    ServerId server = 0;                      // kAcceptor
+    std::size_t index = 0;                    // kIn
+    std::pair<ServerId, ServerId> key{0, 0};  // kOut
+  };
 
-  bool is_local(ServerId s) const { return s < mailboxes_.size() && mailboxes_[s]; }
-  void enqueue_frame(ServerId from, ServerId to, WireKind kind,
-                     const std::shared_ptr<const Bytes>& frame,
-                     std::size_t payload_bytes);
-  void deliver_local(ServerId to, ServerId from, WireKind kind,
-                     std::shared_ptr<const Bytes> payload);
-  void deliver_local_many(ServerId to, ServerId from,
-                          const std::vector<Envelope>& envelopes);
-  void wake();
-  void poll_loop();
+  // SocketTransport hooks (mu_ held).
+  std::deque<Envelope>* admit_locked(ServerId from, ServerId to,
+                                     std::size_t payload_bytes) override;
+  Clock::time_point poll_prepare_locked(
+      std::vector<struct pollfd>& fds) override;
+  void poll_ready_locked(const std::vector<struct pollfd>& fds) override;
+  void teardown_locked() override;
+
   // These run with mu_ held.
-  bool admit_locked(OutConn& out, std::size_t payload_bytes);
-  bool enqueue_envelope_locked(ServerId from, ServerId to, WireKind kind,
-                               std::shared_ptr<const Bytes> payload);
-  void pack_pending(ServerId from, OutConn& out);
-  void dial(ServerId from, ServerId to, OutConn& out);
+  void dial(ServerId to, OutConn& out);
+  void backoff(OutConn& out);
   void fail_out(OutConn& out);
+  void accept_all(ServerId server);
   void service_in(InConn& in);
+  void service_out(OutConn& out, ServerId from, short revents);
   void flush_out(ServerId from, OutConn& out);
-  std::chrono::steady_clock::duration reconnect_backoff();
+  Clock::duration reconnect_backoff();
 
   TcpConfig config_;
-  std::vector<Mailbox*> mailboxes_;
-  IdleTracker* idle_;
-  bool ok_ = false;
-  std::vector<int> acceptor_fds_;        // indexed by ServerId; -1 if remote
-  std::vector<std::uint16_t> ports_;     // indexed by ServerId
-  int wake_rd_ = -1;
-  int wake_wr_ = -1;
-  std::thread thread_;
-
-  mutable std::mutex mu_;
-  bool running_ = false;
-  bool stopping_ = false;
   std::map<std::pair<ServerId, ServerId>, OutConn> out_;  // (from, to)
   // Per-link counters, node-stable (OutConn::link points in) and retained
   // across stop() so post-run diagnostics can still read them.
   std::map<std::pair<ServerId, ServerId>, TcpLinkStats> link_stats_;
   std::vector<std::unique_ptr<InConn>> in_;
-  std::vector<std::shared_ptr<const Handler>> handlers_;
-  std::vector<std::shared_ptr<const Handler>> control_;
+  std::vector<PollEntry> poll_entries_;  // parallel to fds[1..]
   std::uint64_t reconnect_prng_;  // jitter stream; guarded by mu_
-  WireMetrics metrics_;
   TcpStats stats_;
 };
 

@@ -59,23 +59,24 @@ ThreadedRuntime::ThreadedRuntime(const ProtocolFactory& factory,
     nodes_[s] = std::move(node);
   }
 
+  // Batching off ships one envelope per wire frame on the one socket path.
   if (config_.backend == TransportBackend::kTcp) {
     TcpConfig tcp = config_.tcp;
     tcp.n_servers = config_.n_servers;
     tcp.local_servers = local_;
-    tcp.batch_enabled = config_.batching;
+    if (!config_.batching) tcp.max_batch_frames = 1;
     auto transport =
         std::make_unique<TcpTransport>(std::move(tcp), std::move(mailboxes), &idle_);
-    tcp_ = transport.get();
+    socket_ = transport.get();
     transport_ = std::move(transport);
   } else if (config_.backend == TransportBackend::kUdp) {
     UdpConfig udp = config_.udp;
     udp.n_servers = config_.n_servers;
     udp.local_servers = local_;
-    udp.batch_enabled = config_.batching;
+    if (!config_.batching) udp.max_batch_frames = 1;
     auto transport =
         std::make_unique<UdpTransport>(std::move(udp), std::move(mailboxes), &idle_);
-    udp_ = transport.get();
+    socket_ = transport.get();
     transport_ = std::move(transport);
   } else {
     assert(local_.size() == config_.n_servers &&
@@ -132,8 +133,7 @@ ThreadedRuntime::ThreadedRuntime(const ProtocolFactory& factory,
     }
   }
   // Sockets only move bytes once every handler is attached.
-  if (tcp_) tcp_->start();
-  if (udp_) udp_->start();
+  if (socket_) socket_->start();
 }
 
 void ThreadedRuntime::mount_node(ServerId server) {
@@ -177,20 +177,13 @@ void ThreadedRuntime::attach_async_verifier(ServerId server) {
 }
 
 bool ThreadedRuntime::transport_ok() const {
-  if (tcp_) return tcp_->ok();
-  if (udp_) return udp_->ok();
-  return true;
+  return socket_ == nullptr || socket_->ok();
 }
 
 void ThreadedRuntime::set_control_handler(ServerId server,
                                           Transport::Handler handler) {
-  if (tcp_) {
-    tcp_->set_control_handler(server, std::move(handler));
-  } else if (udp_) {
-    udp_->set_control_handler(server, std::move(handler));
-  } else {
-    assert(false && "the loopback backend has no control plane");
-  }
+  assert(socket_ && "the loopback backend has no control plane");
+  if (socket_) socket_->set_control_handler(server, std::move(handler));
 }
 
 ThreadedRuntime::~ThreadedRuntime() { shutdown(); }
@@ -321,8 +314,7 @@ void ThreadedRuntime::shutdown() {
   // deliveries), then let every node drain and exit its loop.
   wheel_.stop();
   if (pool_) pool_->stop();
-  if (tcp_) tcp_->stop();
-  if (udp_) udp_->stop();
+  if (socket_) socket_->stop();
   for (const ServerId s : local_) nodes_[s]->mailbox->close();
   for (const ServerId s : local_) {
     if (nodes_[s]->thread.joinable()) nodes_[s]->thread.join();
@@ -362,10 +354,9 @@ bool ThreadedRuntime::quiesce_and_converge(std::size_t max_rounds,
     // gets a longer beat: a frame is "idle" once acked at the sender, but
     // its delivery may still be crossing the receiving mailbox, and
     // injected delays hold datagrams back by design.
-    if (udp_) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    } else if (tcp_) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    if (socket_) {
+      std::this_thread::sleep_for(
+          std::chrono::milliseconds(udp() != nullptr ? 5 : 2));
     }
     bool converged = true;
     bool first = true;

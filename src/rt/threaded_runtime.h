@@ -101,12 +101,13 @@ struct ThreadedConfig {
   // On (the default): node threads drain their whole mailbox per wakeup,
   // gossip buffers egress and flushes it as send_many/broadcast_many runs,
   // the verifier pool takes staged submissions in one lock, and the socket
-  // backends coalesce small writes into kBatch frames (their batch_enabled
-  // fields are overwritten from this flag). Off: every layer takes the
-  // exact pre-batching path — the honest A/B baseline. Semantics and
-  // convergence digests are identical either way; only per-envelope wire
-  // and wakeup overhead changes. The simulator has no such knob: it is
-  // serial and byte-deterministic by design.
+  // backends coalesce small writes into kBatch frames. Off: the mailbox,
+  // egress and verifier legs take their unbatched paths, and the socket
+  // backends ship one envelope per frame (max_batch_frames = 1) on their
+  // single send path. Semantics and convergence digests are identical
+  // either way; only per-envelope wire and wakeup overhead changes. The
+  // simulator has no such knob: it is serial and byte-deterministic by
+  // design.
   bool batching = true;
   TransportBackend backend = TransportBackend::kLoopback;
   // TCP backend settings (n_servers is filled in from the field above).
@@ -156,14 +157,17 @@ class ThreadedRuntime {
     return server < nodes_.size() && nodes_[server] != nullptr;
   }
 
-  // Non-null iff backend == kTcp: bind status, ports, control plane,
-  // connection-drop test hook.
-  TcpTransport* tcp() { return tcp_; }
-  // Non-null iff backend == kUdp: bind status, ports, control plane, fault
-  // injection (loss/reorder/duplication/partition) and reliability stats.
-  UdpTransport* udp() { return udp_; }
+  // Non-null iff the backend is kTcp or kUdp: bind status, ports, the
+  // control plane — everything the two socket backends share.
+  SocketTransport* socket_transport() { return socket_; }
+  // Non-null iff backend == kTcp: adds the connection-drop test hook and
+  // TCP stats.
+  TcpTransport* tcp() { return dynamic_cast<TcpTransport*>(socket_); }
+  // Non-null iff backend == kUdp: adds fault injection (loss/reorder/
+  // duplication/partition) and reliability stats.
+  UdpTransport* udp() { return dynamic_cast<UdpTransport*>(socket_); }
   // True when the backend's sockets bound successfully (vacuously true for
-  // loopback) — the backend-agnostic form of tcp()->ok() / udp()->ok().
+  // loopback).
   bool transport_ok() const;
   // Control-plane registration on whichever socket backend is active
   // (asserts on loopback, which has no cross-process control plane).
@@ -361,8 +365,7 @@ class ThreadedRuntime {
   // after every node thread joined (no owner can be mid-batch by then).
   std::unique_ptr<ParallelInterpreter> interp_engine_;
   std::unique_ptr<Transport> transport_;
-  TcpTransport* tcp_ = nullptr;  // borrowed view of transport_ when kTcp
-  UdpTransport* udp_ = nullptr;  // borrowed view of transport_ when kUdp
+  SocketTransport* socket_ = nullptr;  // view of transport_ on kTcp/kUdp
   std::vector<std::unique_ptr<Node>> nodes_;
   bool shut_down_ = false;
 };

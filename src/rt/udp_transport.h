@@ -19,6 +19,11 @@
 //     regimes — thereby runs against live sockets and real concurrency
 //     (`simctl fuzz --runtime udp`).
 //
+// This file holds only the UDP wire: the per-link Sender/ReceiverChannels,
+// the fault injector and pump(). Handler routing, the send front end,
+// envelope packing and inbound dispatch are the shared link layer
+// (rt/socket_transport.h), the same code the TCP backend runs.
+//
 // Topology: one UDP socket per hosted server, bound to base_port + id (or
 // an ephemeral port when the whole cluster is in-process), serviced by one
 // poll thread per transport instance. Complete frames are posted into the
@@ -40,16 +45,12 @@
 #include <deque>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <queue>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "net/datagram.h"
-#include "net/frame.h"
-#include "net/transport.h"
-#include "rt/mailbox.h"
+#include "rt/socket_transport.h"
 #include "util/rng.h"
 
 namespace blockdag::rt {
@@ -88,14 +89,14 @@ struct UdpConfig {
   // Initial profile applied to every directed link (clean by default).
   LinkFault default_fault{};
   // --- Envelope coalescing (DESIGN.md §13) ---
-  // When enabled, sends stage as envelopes per link and pump() packs
-  // everything staged into kBatch frames before offering them to the
-  // sender channel, so one frame (and its seq/ack/retransmit state) can
-  // carry many envelopes. The batch ceiling is deliberately smaller than
-  // TCP's: a frame is the retransmission unit here, and a fatter frame
-  // spans more MTU chunks, so one lost chunk under injected loss holds up
-  // more envelopes (the lossy bench row prices exactly this trade).
-  bool batch_enabled = true;
+  // Sends stage as envelopes per link and pump() packs everything staged
+  // into frames (kBatch for two or more) before offering them to the sender
+  // channel, so one frame (and its seq/ack/retransmit state) can carry many
+  // envelopes. The batch ceiling is deliberately smaller than TCP's: a
+  // frame is the retransmission unit here, and a fatter frame spans more
+  // MTU chunks, so one lost chunk under injected loss holds up more
+  // envelopes (the lossy bench row prices exactly this trade).
+  // max_batch_frames = 1 ships one envelope per frame (`--batch off`).
   std::size_t max_batch_frames = 64;       // inner envelopes per kBatch
   std::size_t max_batch_bytes = 16u << 10; // kBatch payload ceiling
 };
@@ -143,39 +144,15 @@ struct UdpLinkStats {
   std::uint64_t batched_envelopes = 0;   // inners across those batches
 };
 
-class UdpTransport final : public Transport {
+class UdpTransport final : public SocketTransport {
  public:
-  // `mailboxes` is indexed by ServerId and must be non-null exactly for
-  // the local servers; pointers must outlive the transport. `idle`
-  // (optional) counts offered-but-unacked frames as outstanding work so
-  // wait_idle() covers the retransmission pipeline. Sockets are bound in
-  // the constructor (check ok()); no traffic moves until start().
+  // See SocketTransport for `mailboxes` and `idle` (here offered-but-unacked
+  // frames count too, so wait_idle() covers the retransmission pipeline).
+  // Sockets are bound in the constructor (check ok()); no traffic moves
+  // until start().
   UdpTransport(UdpConfig config, std::vector<Mailbox*> mailboxes,
                IdleTracker* idle = nullptr);
-  ~UdpTransport();  // stop()s
-
-  // False if any socket failed to bind (port already in use).
-  bool ok() const { return ok_; }
-  std::uint16_t port_of(ServerId server) const;
-
-  void start();  // launches the poll thread; idempotent
-  void stop();   // closes every socket, drops queues, joins; idempotent
-
-  // Transport interface.
-  void attach(ServerId server, Handler handler) override;
-  std::uint32_t size() const override { return config_.n_servers; }
-  void send(ServerId from, ServerId to, WireKind kind, Bytes payload) override;
-  void broadcast(ServerId from, WireKind kind, const Bytes& payload) override;
-  void send_many(ServerId from, ServerId to,
-                 const std::vector<Envelope>& envelopes) override;
-  void broadcast_many(ServerId from,
-                      const std::vector<Envelope>& envelopes) override;
-  WireMetrics wire_metrics() const override;
-
-  // Control plane: frames sent with WireKind::kControl are routed to this
-  // handler instead of the attached protocol handler (multi-process
-  // `simctl serve`/`join` digest exchange, same contract as TcpTransport).
-  void set_control_handler(ServerId server, Handler handler);
+  ~UdpTransport() override;  // stop()s
 
   // ---- fault injection (thread-safe; applied to subsequent datagrams) ----
 
@@ -192,17 +169,16 @@ class UdpTransport final : public Transport {
   // network from here on (already-delayed datagrams still deliver).
   void heal_all_faults();
 
+  WireMetrics wire_metrics() const override;
   UdpStats stats() const;
   UdpLinkStats link_stats(ServerId from, ServerId to) const;
 
  private:
-  using Clock = std::chrono::steady_clock;
-
   struct Link {
     std::unique_ptr<SenderChannel> sender;      // local from → to
     std::unique_ptr<ReceiverChannel> receiver;  // from → local to
-    // Batching mode: envelopes staged for this link, packed into kBatch
-    // frames by pump() before the sender channel sees them.
+    // Envelopes staged for this link, packed into frames by pump() before
+    // the sender channel sees them.
     std::deque<Envelope> staged;
     std::uint64_t injected_drops = 0;
     std::uint64_t injected_dups = 0;
@@ -219,20 +195,20 @@ class UdpTransport final : public Transport {
     bool operator>(const Delayed& other) const { return due > other.due; }
   };
 
-  bool is_local(ServerId s) const {
-    return s < mailboxes_.size() && mailboxes_[s];
-  }
+  // SocketTransport hooks (mu_ held).
+  std::deque<Envelope>* admit_locked(ServerId from, ServerId to,
+                                     std::size_t payload_bytes) override;
+  Clock::time_point poll_prepare_locked(
+      std::vector<struct pollfd>& fds) override;
+  void poll_ready_locked(const std::vector<struct pollfd>& fds) override;
+  void teardown_locked() override;
+
   // Link state of the directed pair, created on first use. mu_ held.
   Link& link(ServerId from, ServerId to);
   const LinkFault& fault_of(ServerId from, ServerId to) const;
-  void deliver_local(ServerId to, ServerId from, WireKind kind,
-                     std::shared_ptr<const Bytes> payload);
-  void deliver_local_many(ServerId to, ServerId from,
-                          const std::vector<Envelope>& envelopes);
-  void deliver_frames(ServerId owner, std::vector<Frame>& frames);
-  // Packs everything staged on the link into wire frames and offers them
-  // to the sender channel. mu_ held (pump() calls it).
-  void pack_staged(ServerId from, ServerId to, Link& l);
+  // Packs everything staged on the link and offers the frames to its
+  // sender channel. mu_ held.
+  void offer_staged(ServerId from, Link& l);
   // Injection decision + sendto()/delay-queue for one outbound datagram.
   // mu_ held. `injectable` is false for datagrams the injector already
   // processed (delayed releases, duplicate copies).
@@ -242,9 +218,7 @@ class UdpTransport final : public Transport {
   // Pump senders/acks/delayed queue; returns the earliest future deadline
   // (retransmit or delayed release). mu_ held.
   Clock::time_point pump(Clock::time_point now);
-  void service_socket(ServerId owner, Clock::time_point now);
-  void wake();
-  void poll_loop();
+  void service_socket(ServerId owner);
   static std::uint64_t to_ns(Clock::time_point t) {
     return static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -253,21 +227,7 @@ class UdpTransport final : public Transport {
   }
 
   UdpConfig config_;
-  std::vector<Mailbox*> mailboxes_;
-  IdleTracker* idle_;
-  bool ok_ = false;
-  std::vector<int> socket_fds_;       // indexed by ServerId; -1 if remote
-  std::vector<std::uint16_t> ports_;  // indexed by ServerId
-  int wake_rd_ = -1;
-  int wake_wr_ = -1;
-  std::thread thread_;
-
-  mutable std::mutex mu_;
-  bool running_ = false;
-  bool stopping_ = false;
   std::map<std::pair<ServerId, ServerId>, Link> links_;  // (from, to)
-  std::vector<std::shared_ptr<const Handler>> handlers_;
-  std::vector<std::shared_ptr<const Handler>> control_;
   // Fault state: default + per-link overrides + partition bitmap (n×n,
   // row-major), consulted per outbound datagram.
   Rng fault_rng_;
@@ -276,7 +236,6 @@ class UdpTransport final : public Transport {
   std::vector<bool> blackholed_;
   std::priority_queue<Delayed, std::vector<Delayed>, std::greater<Delayed>>
       delayed_;
-  WireMetrics metrics_;
   UdpStats stats_;
 };
 

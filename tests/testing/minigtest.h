@@ -18,9 +18,10 @@
 //   --gtest_filter=GLOB[:GLOB...][-GLOB...] and --gtest_list_tests
 //
 // Deliberately absent (unused by this suite): death tests, matchers/gmock,
-// typed tests, sharding, XML output, threadsafe assertions.
+// typed tests, sharding, XML output.
 #pragma once
 
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -237,9 +238,10 @@ struct Registry {
   std::vector<std::function<void(Registry&)>> param_expanders;
 
   // Per-test outcome state, written by assertion macros via AssertHelper.
-  bool current_failed = false;
-  bool current_fatal = false;
-  std::size_t checks_executed = 0;
+  // Atomic so EXPECT_* may run on worker threads a test spawns.
+  std::atomic<bool> current_failed{false};
+  std::atomic<bool> current_fatal{false};
+  std::atomic<std::size_t> checks_executed{0};
 
   static Registry& Instance() {
     static Registry registry;

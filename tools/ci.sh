@@ -3,11 +3,12 @@
 # socket-runtime smokes (`simctl run --runtime tcp` and the lossy
 # `--runtime udp` in one process, plus both two-OS-process serve/join
 # clusters — clean TCP and 10%-loss UDP — plus the three-process durable
-# crash/recovery smoke and a crash-churn fuzz slice), a bench harness smoke (every
+# crash/recovery smoke, a crash-churn fuzz slice and TCP/UDP fuzz slices
+# with batching on and off), a bench harness smoke (every
 # bench runs seconds-scale and must emit parseable BENCH_*.json), an Asan
 # build running the tier1 ctest label, then a Tsan build running the
-# threaded-runtime, TCP-runtime and UDP-runtime convergence tests under
-# ThreadSanitizer. Mirrors .github/workflows/ci.yml; see BUILDING.md for
+# threaded-runtime, TCP-runtime and UDP-runtime convergence tests and the
+# socket link-layer tests under ThreadSanitizer. Mirrors .github/workflows/ci.yml; see BUILDING.md for
 # the full command reference.
 set -eu
 
@@ -45,6 +46,10 @@ echo "==> Lossy-datagram smoke (real localhost UDP, 15% injected loss + two-proc
 ./build-ci/simctl run --runtime udp --n 4 --instances 4 --seconds 5 --interval 2 --drop 0.15
 sh tools/udp_cluster_smoke.sh ./build-ci/simctl
 
+echo "==> UDP fuzz slice, batching A/B (same seeds with dissemination batching on, then off)"
+./build-ci/simctl fuzz --runtime udp --seeds 1..3
+./build-ci/simctl fuzz --runtime udp --seeds 1..3 --batch off
+
 echo "==> Bench harness smoke (all thirteen benches, JSON artifacts validated)"
 sh tools/bench_all.sh -B build-ci --smoke
 
@@ -55,28 +60,30 @@ cmake -B build-ci-asan -S . -DCMAKE_BUILD_TYPE=Asan \
 cmake --build build-ci-asan -j "$jobs"
 (cd build-ci-asan && ctest --output-on-failure -j "$jobs" -L tier1)
 
-echo "==> Tsan build + threaded/TCP/UDP runtime + verifier-pool smoke (ThreadSanitizer)"
+echo "==> Tsan build + threaded/TCP/UDP runtime + link-layer + verifier-pool smoke (ThreadSanitizer)"
 cmake -B build-ci-tsan -S . -DCMAKE_BUILD_TYPE=Tsan \
       -DBLOCKDAG_BUILD_BENCHES=OFF -DBLOCKDAG_BUILD_EXAMPLES=OFF \
       -DBLOCKDAG_BUILD_TOOLS=OFF
 cmake --build build-ci-tsan -j "$jobs" \
       --target rt_threaded_runtime_test rt_tcp_runtime_test \
                rt_udp_runtime_test rt_timer_wheel_test rt_crash_restart_test \
-               rt_mailbox_batch_test \
+               rt_mailbox_batch_test rt_socket_transport_test \
                crypto_verifier_pool_test interpret_parallel_interpreter_test \
                protocols_fifo_sharing_test
 (cd build-ci-tsan && ctest --output-on-failure \
-    -R '^(rt/(threaded_runtime_test|tcp_runtime_test|udp_runtime_test|timer_wheel_test|crash_restart_test|mailbox_batch_test)|crypto/verifier_pool_test|interpret/parallel_interpreter_test|protocols/fifo_sharing_test)$')
+    -R '^(rt/(threaded_runtime_test|tcp_runtime_test|udp_runtime_test|timer_wheel_test|crash_restart_test|mailbox_batch_test|socket_transport_test)|crypto/verifier_pool_test|interpret/parallel_interpreter_test|protocols/fifo_sharing_test)$')
 # The pool's shutdown race is timing-shaped: loop the Tsan binaries so the
 # sanitizer sees many distinct stop()-vs-batch interleavings (the parallel
 # interpreter shares the verifier pool's owner-drains-the-bag protocol;
 # the mailbox batch-drain races four producers against the swap; engine
-# workers clone committed FIFO-BRB instances whose slots they share).
+# workers clone committed FIFO-BRB instances whose slots they share; the
+# socket link layer starts and stops real transports).
 for i in 1 2 3 4 5 6 7 8 9 10; do
   ./build-ci-tsan/crypto_verifier_pool_test >/dev/null
   ./build-ci-tsan/interpret_parallel_interpreter_test >/dev/null
   ./build-ci-tsan/protocols_fifo_sharing_test >/dev/null
   ./build-ci-tsan/rt_mailbox_batch_test >/dev/null
+  ./build-ci-tsan/rt_socket_transport_test >/dev/null
 done
 
 echo "==> CI OK"

@@ -142,9 +142,10 @@ struct Options {
 };
 
 // --batch on|off: dissemination batching on the real runtimes
-// (ThreadedConfig::batching, DESIGN.md §13). Default on; off selects the
-// exact pre-batching per-envelope path — the honest A/B baseline. The
-// simulator has no such knob (serial and byte-deterministic by design).
+// (ThreadedConfig::batching, DESIGN.md §13). Default on; off takes the
+// unbatched mailbox, egress and verifier paths and ships one envelope per
+// wire frame on the socket backends' single send path — the A/B baseline.
+// The simulator has no such knob (serial and byte-deterministic by design).
 std::optional<bool> parse_on_off(const std::string& v) {
   if (v == "on") return true;
   if (v == "off") return false;
@@ -731,6 +732,9 @@ bool parse_member_args(int argc, char** argv, MemberOptions& opt, bool join) {
 // (WireKind::kControl — routed by the TCP transport, invisible to gossip).
 Bytes encode_digest_beat(const Bytes& dag, const Bytes& interp, bool done) {
   Writer w;
+  // A tagged envelope like every payload (net/codec.h): the tag is what
+  // routes a beat to the control handler when it rides inside a kBatch.
+  w.u8(static_cast<std::uint8_t>(WireKind::kControl));
   w.u8(1);  // control-protocol version
   w.bytes(dag);
   w.bytes(interp);
@@ -829,17 +833,18 @@ int run_member(const MemberOptions& opt, const char* role) {
   // Control-plane sender, transport-agnostic: kControl frames bypass the
   // protocol handler on both socket backends.
   const auto send_control = [&runtime, &opt](ServerId to, Bytes beat) {
-    if (runtime.udp()) {
-      runtime.udp()->send(opt.id, to, WireKind::kControl, std::move(beat));
-    } else {
-      runtime.tcp()->send(opt.id, to, WireKind::kControl, std::move(beat));
-    }
+    runtime.socket_transport()->send(opt.id, to, WireKind::kControl,
+                                     std::move(beat));
   };
   runtime.set_control_handler(
       opt.id, [&peers_mu, &peers](ServerId from, const Bytes& payload) {
         Reader r(payload);
+        const auto tag = r.u8();
         const auto version = r.u8();
-        if (!version || *version != 1) return;
+        if (!tag || *tag != static_cast<std::uint8_t>(WireKind::kControl) ||
+            !version || *version != 1) {
+          return;
+        }
         const auto dag = r.bytes();
         const auto interp = r.bytes();
         const auto done = r.u8();
