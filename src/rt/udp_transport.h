@@ -71,6 +71,8 @@ struct LinkFault {
   std::uint32_t delay_max_us = 0;
   std::uint32_t reorder_hold_us = 2000;
   bool blackhole = false;  // partition: every datagram on the link dies
+
+  bool operator==(const LinkFault&) const = default;
 };
 
 struct UdpConfig {

@@ -9,8 +9,9 @@
 //
 // Every derived plan respects the invariants the property checkers assume
 // (pinned by tests/e2e/scenario_test.cpp FaultPlanInvariants):
-//   * at most f = ⌊(n-1)/3⌋ byzantine servers, kinds drawn from all six
-//     ByzantineKinds; byzantine servers never crash;
+//   * at most f = ⌊(n-1)/3⌋ byzantine servers, kinds drawn from the six
+//     ByzantineKinds other than kForger, plus kForger when allow_forger
+//     is set; byzantine servers never crash;
 //   * partitions always heal, by 0.9 × duration (Assumption 1: partitions
 //     delay, never destroy);
 //   * drop regimes keep a finite per-pair budget (transient loss only);

@@ -18,20 +18,6 @@ namespace blockdag {
 
 namespace {
 
-const ProtocolFactory* factory_for(const std::string& protocol) {
-  static const brb::BrbFactory brb_factory;
-  static const bcb::BcbFactory bcb_factory;
-  static const fifo::FifoBrbFactory fifo_factory;
-  static const pbft::PbftFactory pbft_factory;
-  static const beacon::BeaconFactory beacon_factory;
-  if (protocol == "brb") return &brb_factory;
-  if (protocol == "bcb") return &bcb_factory;
-  if (protocol == "fifo") return &fifo_factory;
-  if (protocol == "pbft") return &pbft_factory;
-  if (protocol == "beacon") return &beacon_factory;
-  return nullptr;
-}
-
 // What the bursts promised, for the property checkers.
 struct Expectations {
   struct Broadcast {  // brb / bcb
@@ -238,13 +224,23 @@ void nudge_pbft_liveness(Cluster& cluster, const Expectations& expect) {
 
 }  // namespace
 
-bool scenario_protocol_known(const std::string& protocol) {
-  return factory_for(protocol) != nullptr;
+const ProtocolFactory* protocol_factory(const std::string& protocol) {
+  static const brb::BrbFactory brb_factory;
+  static const bcb::BcbFactory bcb_factory;
+  static const fifo::FifoBrbFactory fifo_factory;
+  static const pbft::PbftFactory pbft_factory;
+  static const beacon::BeaconFactory beacon_factory;
+  if (protocol == "brb") return &brb_factory;
+  if (protocol == "bcb") return &bcb_factory;
+  if (protocol == "fifo") return &fifo_factory;
+  if (protocol == "pbft") return &pbft_factory;
+  if (protocol == "beacon") return &beacon_factory;
+  return nullptr;
 }
 
 ScenarioResult run_scenario(const ScenarioConfig& config) {
   ScenarioResult result;
-  const ProtocolFactory* factory = factory_for(config.protocol);
+  const ProtocolFactory* factory = protocol_factory(config.protocol);
   if (!factory) {
     result.violations.push_back("unknown protocol '" + config.protocol + "'");
     return result;

@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "protocol/protocol.h"
 #include "runtime/faultplan.h"
 
 namespace blockdag {
@@ -40,9 +41,9 @@ struct ScenarioResult {
   bool ok() const { return violations.empty(); }
 };
 
-// True when `protocol` names an embeddable P the engine knows
-// (brb, bcb, fifo, pbft, beacon).
-bool scenario_protocol_known(const std::string& protocol);
+// The factory of the embeddable P `protocol` names (brb, bcb, fifo, pbft,
+// beacon); nullptr for any other name.
+const ProtocolFactory* protocol_factory(const std::string& protocol);
 
 // Runs one scenario to completion. Deterministic: equal configs produce
 // equal results (including run_digest).

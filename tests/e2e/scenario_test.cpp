@@ -99,7 +99,7 @@ TEST(Scenario, GoldenRunDigests) {
 }
 
 TEST(Scenario, UnknownProtocolIsAnError) {
-  EXPECT_FALSE(scenario_protocol_known("paxos"));
+  EXPECT_EQ(protocol_factory("paxos"), nullptr);
   ScenarioConfig cfg;
   cfg.protocol = "paxos";
   const ScenarioResult result = run_scenario(cfg);

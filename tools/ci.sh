@@ -5,8 +5,8 @@
 # clusters — clean TCP and 10%-loss UDP — plus the three-process durable
 # crash/recovery smoke, a crash-churn fuzz slice and TCP/UDP fuzz slices
 # with batching on and off), a bench harness smoke (every
-# bench runs seconds-scale and must emit parseable BENCH_*.json), an Asan
-# build running the tier1 ctest label, then a Tsan build running the
+# bench runs seconds-scale and must emit parseable BENCH_*.json), Asan and
+# Ubsan builds running the tier1 ctest label, then a Tsan build running the
 # threaded-runtime, TCP-runtime and UDP-runtime convergence tests and the
 # socket link-layer tests under ThreadSanitizer. Mirrors .github/workflows/ci.yml; see BUILDING.md for
 # the full command reference.
@@ -59,6 +59,13 @@ cmake -B build-ci-asan -S . -DCMAKE_BUILD_TYPE=Asan \
       -DBLOCKDAG_BUILD_TOOLS=OFF
 cmake --build build-ci-asan -j "$jobs"
 (cd build-ci-asan && ctest --output-on-failure -j "$jobs" -L tier1)
+
+echo "==> Ubsan build + tier1 label"
+cmake -B build-ci-ubsan -S . -DCMAKE_BUILD_TYPE=Ubsan \
+      -DBLOCKDAG_BUILD_BENCHES=OFF -DBLOCKDAG_BUILD_EXAMPLES=OFF \
+      -DBLOCKDAG_BUILD_TOOLS=OFF
+cmake --build build-ci-ubsan -j "$jobs"
+(cd build-ci-ubsan && ctest --output-on-failure -j "$jobs" -L tier1)
 
 echo "==> Tsan build + threaded/TCP/UDP runtime + link-layer + verifier-pool smoke (ThreadSanitizer)"
 cmake -B build-ci-tsan -S . -DCMAKE_BUILD_TYPE=Tsan \

@@ -1,100 +1,62 @@
-// simctl — command-line driver for the block DAG simulator.
-//
-// Default (or `simctl run …`): runs a configurable cluster of shim(P)
-// servers and prints a full report — deliveries, wire traffic, signature
-// counts, interpretation stats, DAG audit. Meant for quick exploration
-// without writing code.
+// simctl — command-line driver for the block DAG simulator and runtimes.
+// Every subcommand's flags come from one table (kFlags below), which also
+// generates the usage text; what each backend accepts is its capability
+// row in runtime/fuzz_plan.h.
 //
 //   simctl [run] [--runtime sim|threads|tcp|udp] [--n N]
 //          [--protocol brb|bcb|fifo|pbft|beacon] [--seconds S]
 //          [--instances K] [--interval MS] [--seed X] [--drop P]
 //          [--byzantine ID:KIND ...] [--sig ideal|hmac|wots] [--dot FILE]
-//
-// Byzantine kinds: silent, equivocator, duplicate, flooder, badsigner,
-// garbage, forger.
-//
-// --runtime threads (or --runtime=threads) runs the same protocol stack on
-// the multi-threaded in-process runtime (one OS thread per server, real
-// clock) instead of the deterministic simulator; --seconds then bounds the
-// wall-clock run. --runtime tcp is the same deployment with every payload
-// crossing real localhost TCP sockets (ephemeral ports, n·(n−1) directed
-// connections) instead of the loopback mailbox transport. --runtime udp
-// moves the payloads over real UDP datagrams with userspace reliability
-// (net/datagram.h) and an in-path fault injector: --drop P injects P loss
-// on every directed link, live, at the wire (DESIGN.md §9). --byzantine
-// stays simulator-only; --sig selects the signature scheme on every
-// runtime (real runtimes route non-ideal verification through the
-// off-thread verifier pool, the simulator always verifies synchronously;
-// --wots is kept as an alias for --sig wots).
-//
-// Multi-process clusters (DESIGN.md §8): every member runs the same
-// protocol stack in its own OS process, hosting exactly one server,
-// connected over 127.0.0.1:(PORT + id):
+//          [--interpret-workers N] [--batch on|off]
+//     Runs a cluster of shim(P) servers and prints a report: deliveries,
+//     wire traffic, signature counts, interpretation stats, DAG audit.
+//     The simulator (default) is deterministic; --runtime threads runs the
+//     same stack on one OS thread per server with a real clock (--seconds
+//     bounds the wall-clock run), tcp moves every payload over localhost
+//     TCP, and udp over real datagrams with userspace reliability and an
+//     in-path fault injector (--drop P: loss on every directed link,
+//     DESIGN.md §9). Byzantine kinds (simulator only): silent, equivocator,
+//     duplicate, flooder, badsigner, garbage, forger. --interpret-workers
+//     and --batch tune the real runtimes only.
 //
 //   simctl serve --n N --port PORT [--runtime tcp|udp] [--loss P]
-//                [--protocol P] [--instances K] [--seconds S]
-//                [--interval MS] [--seed X]
-//                [--data-dir DIR] [--checkpoint K]
+//                [--data-dir DIR] [--checkpoint K] [run options]
 //   simctl join --id I --n N --port PORT [same options]
-//
-// With --data-dir the member persists epoch checkpoints plus an
-// append-only block log under DIR (checkpoint every K interpreted blocks,
-// default 32), restores from them on startup and state-syncs the history
-// it missed while down — a SIGKILLed member restarted on the same
-// directory rejoins without re-interpreting checkpointed history
-// (tools/crash_cluster_smoke.sh drives exactly that). Exit codes: 0 =
-// converged, 1 = settle timeout, 2 = bind/usage failure, 3 = corrupt
-// durable state (the member refuses to run half-restored). All members of
-// one cluster must agree on whether --data-dir is in use: checkpoint
-// epochs prune the DAG, and the settle protocol then compares GC'd live
-// sets.
-//
-// `serve` hosts server 0, `join --id I` hosts server I (one process per
-// server, started in any order — connects retry until peers appear). Each
-// process issues its share of the workload, then the members settle via a
-// digest-exchange control protocol on the wire itself: a member exits 0
-// once every server reports the identical DAG digest and identical
-// per-block interpretation digest (Lemma 3.7 / Lemma 4.2) and all
-// instances are delivered; nonzero on timeout or bind failure (exit 2).
-//
-// Scenario engine (DESIGN.md §6) subcommands:
+//     A multi-process cluster (DESIGN.md §8): one server per OS process
+//     over 127.0.0.1:(PORT + id); serve hosts server 0. Each member issues
+//     its share of the workload, then the members settle by exchanging
+//     digest beats on the wire and exit 0 once every server reports the
+//     identical DAG and per-block interpretation digests (Lemma 3.7 /
+//     Lemma 4.2) and every instance is delivered. With --data-dir a member
+//     persists epoch checkpoints (every K interpreted blocks, default 32)
+//     plus a block log, restores from them on restart and state-syncs what
+//     it missed (tools/crash_cluster_smoke.sh); every member of a cluster
+//     must agree on whether --data-dir is in use. Exit codes: 0 converged,
+//     1 settle timeout, 2 bind or usage failure, 3 corrupt durable state.
 //
 //   simctl fuzz --seeds A..B [--runtime sim|udp|threads|tcp]
-//               [--protocol P|mix] [--n N]
-//               [--instances K] [--duration S | --duration-ns NS]
-//               [--repro-file FILE]
-//     Runs one seeded adversarial scenario per seed (randomized partitions,
-//     latency/drop regimes, crash/recovery churn, byzantine mixes, request
-//     bursts) with the property checkers always on. Every failure prints a
-//     one-line `simctl replay …` repro (also appended to --repro-file).
-//     With `--protocol mix` (default), protocol and cluster size rotate
-//     deterministically per seed. `--runtime udp` ports the grammar to real
-//     sockets: each seed derives a loss/reorder/duplication/geo-latency
-//     profile, asymmetric hostile links and an optional mid-run partition,
-//     injected live by the UDP transport's fault injector, with the same
-//     convergence/totality checkers at the end.
-//
-//     `--runtime threads` (or tcp) runs seeded crash-churn instead: durable
-//     storage and checkpoint epochs on, servers SIGKILL-crashed mid-run and
-//     restarted over their surviving (or deliberately wiped) storage, with
-//     the same convergence/totality checkers plus recovery sanity at the
-//     end.
-//
-//   simctl replay --seed S [--runtime sim|udp|threads|tcp] [--protocol P]
-//                 [--n N] [--instances K] [--duration S | --duration-ns NS]
-//                 [--trace FILE]
-//     Re-runs exactly one scenario (same derivation as fuzz), prints the
-//     derived fault plan and the result, and optionally writes a JSON
-//     trace. Simulator replays are exact: a scenario is a pure function of
-//     its configuration (repro lines carry the duration in integer ns so
-//     no decimal round-trip can perturb the derived plan). UDP replays
-//     re-derive the exact same injected fault profile from the seed; the
-//     socket timing underneath is real and therefore not bit-identical.
+//               [--protocol P|mix] [--n N] [--instances K]
+//               [--duration S | --duration-ns NS] [--sig ideal|hmac|wots]
+//               [--interpret-workers N] [--batch on|off] [--repro-file FILE]
+//   simctl replay --seed S [same options] [--trace FILE]
+//     The scenario engine (DESIGN.md §6): one seeded adversarial FuzzPlan
+//     per seed with the property checkers always on — the simulator's
+//     fault plan, a UDP wire-fault profile, or threads/tcp crash churn over
+//     durable storage (runtime/fuzz_plan.h). Protocol and cluster size
+//     rotate per seed unless pinned; a non-ideal --sig also arms the forger
+//     adversary. Every fuzz failure prints a one-line `simctl replay …`
+//     repro (also appended to --repro-file); replay re-derives exactly that
+//     plan, prints it and the result, and on the simulator optionally
+//     writes a JSON trace. Simulator replays are exact; on the real
+//     runtimes the plan is exact and the thread and socket timing is real.
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <mutex>
+#include <map>
 #include <string>
+#include <string_view>
 #include <tuple>
 
 #include <chrono>
@@ -102,14 +64,8 @@
 
 #include "dag/audit.h"
 #include "dag/dot.h"
-#include "rt/threaded_runtime.h"
-#include "protocols/bcb.h"
-#include "protocols/brb.h"
-#include "protocols/coin_beacon.h"
-#include "protocols/fifo_brb.h"
-#include "protocols/pbft_lite.h"
 #include "runtime/cluster.h"
-#include "runtime/scenario.h"
+#include "runtime/fuzz_plan.h"
 #include "runtime/table.h"
 #include "util/hex.h"
 #include "util/histogram.h"
@@ -119,37 +75,104 @@ using namespace blockdag;
 
 namespace {
 
+// ---- the one option parser ----
+
+// Bit i is the subcommand kCommandNames[i].
+enum Command : unsigned {
+  kRun = 1, kServe = 2, kJoin = 4, kFuzz = 8, kReplay = 16
+};
+constexpr unsigned kMember = kServe | kJoin;
+constexpr unsigned kPlan = kFuzz | kReplay;
+constexpr unsigned kAny = kRun | kMember | kPlan;
+constexpr const char* kCommandNames[] = {"run", "serve", "join", "fuzz", "replay"};
+
+// Bounds that keep a typo from asking for millions of threads, a
+// multi-gigabyte allocation or a deadline past the clock's range.
+constexpr std::uint64_t kMaxServers = 256;
+constexpr std::uint64_t kMaxWorkers = 256;
+constexpr std::uint64_t kMaxInstances = 65536;
+constexpr std::uint64_t kMaxSeconds = 1'000'000;
+
 struct Options {
-  std::uint32_t n = 4;
-  std::string runtime = "sim";
-  std::string protocol = "brb";
-  double seconds = 2.0;
-  std::uint32_t instances = 8;
+  Command command = kRun;
+  // Backend, seed (fuzz: the first of --seeds), protocol ("mix" rotates on
+  // fuzz/replay), n (fuzz/replay: 0 rotates), instances, sig, workers,
+  // batching; duration_ns is filled from the two fields below.
+  RunHeader run;
+  double seconds = 2.0;           // --seconds / --duration
+  std::uint64_t duration_ns = 0;  // --duration-ns: exact, wins over seconds
+  std::uint64_t last_seed = 0;    // fuzz: --seeds A..B
+  bool seen_batch = false;
   std::uint64_t interval_ms = 10;
-  std::uint64_t seed = 1;
-  double drop = 0.0;
-  SigScheme sig = SigScheme::kIdeal;
-  // Parallel-interpretation workers on the real runtimes (unset = auto:
-  // hardware threads; 0 = serial). Simulator runs reject it — the sim never
-  // constructs the engine, keeping seeded replays byte-deterministic.
-  std::optional<std::uint32_t> interpret_workers;
-  // Dissemination batching on the real runtimes (--batch on|off).
-  // batch_set tracks an explicit flag so sim runs can reject it.
-  bool batch = true;
-  bool batch_set = false;
-  std::string dot_file;
+  double drop = 0.0;  // run --drop, serve/join --loss: injected loss
   std::map<ServerId, ByzantineKind> byzantine;
+  std::string dot_file;
+  std::string repro_file;
+  std::string trace_file;
+  // serve/join: server 0 for serve; server s listens on 127.0.0.1:(port+s).
+  ServerId id = 0;
+  std::uint16_t port = 0;
+  // Durable crash recovery (DESIGN.md §10): when set, a member persists
+  // checkpoints + a block log under the directory, restores from it on
+  // startup (exit 3 if the durable state is corrupt) and mounts a
+  // state-sync engine to catch up on history it missed while down.
+  std::string data_dir;
+  std::uint64_t checkpoint_blocks = 32;  // epoch cadence (with --data-dir)
 };
 
-// --batch on|off: dissemination batching on the real runtimes
-// (ThreadedConfig::batching, DESIGN.md §13). Default on; off takes the
-// unbatched mailbox, egress and verifier paths and ships one envelope per
-// wire frame on the socket backends' single send path — the A/B baseline.
-// The simulator has no such knob (serial and byte-deterministic by design).
-std::optional<bool> parse_on_off(const std::string& v) {
-  if (v == "on") return true;
-  if (v == "off") return false;
-  return std::nullopt;
+Options defaults_for(Command command) {
+  Options opt;
+  opt.command = command;
+  if (command & kMember) {
+    opt.run.backend = Backend::kTcp;
+    opt.run.n = 2;
+    opt.run.instances = 4;
+    opt.seconds = 30.0;  // wall-clock budget for the whole run
+    opt.interval_ms = 5;
+  } else if (command & kPlan) {
+    opt.run.protocol = "mix";
+    opt.run.n = 0;
+    opt.seconds = 1.0;
+  } else {
+    opt.run.instances = 8;
+  }
+  return opt;
+}
+
+bool parse_u64(std::string_view s, std::uint64_t& out) {
+  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), out);
+  return ec == std::errc() && end == s.data() + s.size() && !s.empty();
+}
+
+template <typename T>
+bool parse_bounded(std::string_view s, std::uint64_t lo, std::uint64_t hi, T& out) {
+  std::uint64_t v = 0;
+  if (!parse_u64(s, v) || v < lo || v > hi) return false;
+  out = static_cast<T>(v);
+  return true;
+}
+
+// A whole-string double. NaN fails every comparison, so the range checks
+// below reject it.
+bool parse_double(const char* s, double& out) {
+  const char* end = s + std::strlen(s);
+  const auto [stop, ec] = std::from_chars(s, end, out);
+  return ec == std::errc() && stop == end && stop != s;
+}
+bool parse_duration(const char* s, double& out) {
+  return parse_double(s, out) && out > 0.0 && out <= kMaxSeconds;
+}
+bool parse_probability(const char* s, double& out) {
+  return parse_double(s, out) && out >= 0.0 && out < 1.0;
+}
+
+// A seed or an inclusive range A..B.
+bool parse_seeds(std::string_view spec, Options& opt) {
+  const auto dots = spec.find("..");
+  const bool range = dots != std::string_view::npos;
+  return parse_u64(spec.substr(0, dots), opt.run.seed) &&
+         parse_u64(range ? spec.substr(dots + 2) : spec, opt.last_seed) &&
+         opt.run.seed <= opt.last_seed;
 }
 
 std::optional<ByzantineKind> parse_kind(const std::string& name) {
@@ -163,196 +186,296 @@ std::optional<ByzantineKind> parse_kind(const std::string& name) {
   return std::nullopt;
 }
 
+// Every flag takes one value. The table is the whole command-line
+// grammar: parse_args reads it, and so does the usage text.
+struct Flag {
+  const char* name;
+  const char* value;   // as the usage text shows it
+  unsigned commands;   // subcommands that accept the flag
+  unsigned required;   // subcommands that need it
+  bool (*apply)(const char* value, Options& opt);
+};
+
+const Flag kFlags[] = {
+    {"--seeds", "A..B", kFuzz, kFuzz,
+     [](const char* v, Options& o) { return parse_seeds(v, o); }},
+    {"--seed", "S", kRun | kMember | kReplay, kReplay,
+     [](const char* v, Options& o) {
+       // replay has always taken a range too, replaying its first seed.
+       return o.command == kReplay ? parse_seeds(v, o) : parse_u64(v, o.run.seed);
+     }},
+    {"--id", "I", kJoin, kJoin,
+     [](const char* v, Options& o) {
+       return parse_bounded(v, 1, kMaxServers, o.id);
+     }},
+    {"--n", "N", kAny, 0,
+     [](const char* v, Options& o) {
+       return parse_bounded(v, 0, kMaxServers, o.run.n);
+     }},
+    {"--port", "PORT", kMember, kMember,
+     [](const char* v, Options& o) { return parse_bounded(v, 1, 65535, o.port); }},
+    {"--runtime", "sim|threads|tcp|udp", kAny, 0,
+     [](const char* v, Options& o) {
+       const auto backend = parse_backend(v);
+       if (backend) o.run.backend = *backend;
+       return backend.has_value();
+     }},
+    {"--protocol", "brb|bcb|fifo|pbft|beacon", kRun | kMember, 0,
+     [](const char* v, Options& o) {
+       o.run.protocol = v;
+       return protocol_factory(v) != nullptr;
+     }},
+    {"--protocol", "brb|bcb|fifo|pbft|beacon|mix", kPlan, 0,
+     [](const char* v, Options& o) {
+       o.run.protocol = v;
+       return protocol_factory(v) != nullptr || o.run.protocol == "mix";
+     }},
+    {"--instances", "K", kAny, 0,
+     [](const char* v, Options& o) {
+       return parse_bounded(v, 0, kMaxInstances, o.run.instances);
+     }},
+    {"--seconds", "S", kRun | kMember, 0,
+     [](const char* v, Options& o) { return parse_duration(v, o.seconds); }},
+    {"--duration", "S", kPlan, 0,
+     [](const char* v, Options& o) { return parse_duration(v, o.seconds); }},
+    {"--duration-ns", "NS", kPlan, 0,
+     [](const char* v, Options& o) {
+       return parse_bounded(v, 1, kMaxSeconds * 1'000'000'000, o.duration_ns);
+     }},
+    {"--interval", "MS", kRun | kMember, 0,
+     [](const char* v, Options& o) {
+       return parse_bounded(v, 1, UINT32_MAX, o.interval_ms);
+     }},
+    {"--drop", "P", kRun, 0,
+     [](const char* v, Options& o) { return parse_probability(v, o.drop); }},
+    {"--loss", "P", kMember, 0,
+     [](const char* v, Options& o) { return parse_probability(v, o.drop); }},
+    {"--byzantine", "ID:KIND", kRun, 0,
+     [](const char* v, Options& o) {
+       const std::string_view spec = v;
+       const auto colon = spec.find(':');
+       ServerId id = 0;
+       const auto kind = parse_kind(std::string(spec.substr(colon + 1)));
+       if (colon == std::string_view::npos || !kind ||
+           !parse_bounded(spec.substr(0, colon), 0, kMaxServers, id)) {
+         return false;
+       }
+       o.byzantine[id] = *kind;
+       return true;
+     }},
+    {"--sig", "ideal|hmac|wots", kAny, 0,
+     [](const char* v, Options& o) {
+       const auto scheme = parse_sig_scheme(v);
+       if (scheme) o.run.sig = *scheme;
+       return scheme.has_value();
+     }},
+    {"--interpret-workers", "N", kAny, 0,
+     [](const char* v, Options& o) {
+       std::uint32_t workers = 0;
+       if (!parse_bounded(v, 0, kMaxWorkers, workers)) return false;
+       o.run.interpret_workers = workers;
+       return true;
+     }},
+    // Dissemination batching on the real runtimes (ThreadedConfig::
+    // batching, DESIGN.md §13). Default on; off ships one envelope per wire
+    // frame — the A/B baseline. Local tuning: a batching member
+    // interoperates with a non-batching one.
+    {"--batch", "on|off", kAny, 0,
+     [](const char* v, Options& o) {
+       o.seen_batch = true;
+       o.run.batch = std::strcmp(v, "on") == 0;
+       return o.run.batch || std::strcmp(v, "off") == 0;
+     }},
+    {"--dot", "FILE", kRun, 0,
+     [](const char* v, Options& o) { return !(o.dot_file = v).empty(); }},
+    {"--data-dir", "DIR", kMember, 0,
+     [](const char* v, Options& o) { return !(o.data_dir = v).empty(); }},
+    {"--checkpoint", "K", kMember, 0,
+     [](const char* v, Options& o) {
+       return parse_bounded(v, 1, UINT64_MAX, o.checkpoint_blocks);
+     }},
+    {"--repro-file", "FILE", kFuzz, 0,
+     [](const char* v, Options& o) { return !(o.repro_file = v).empty(); }},
+    {"--trace", "FILE", kReplay, 0,
+     [](const char* v, Options& o) { return !(o.trace_file = v).empty(); }},
+};
+
+// Parses argv (after the subcommand) into `opt` and checks what no single
+// flag can: required flags, cluster-size floors and cross-flag ranges.
 bool parse_args(int argc, char** argv, Options& opt) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (arg == "--runtime" || arg.rfind("--runtime=", 0) == 0) {
-      const std::string v =
-          arg == "--runtime" ? (next() ? std::string(argv[i]) : std::string())
-                             : arg.substr(std::string("--runtime=").size());
-      if (v != "sim" && v != "threads" && v != "tcp" && v != "udp") return false;
-      opt.runtime = v;
-    } else if (arg == "--n") {
-      const char* v = next();
-      if (!v) return false;
-      opt.n = static_cast<std::uint32_t>(std::stoul(v));
-    } else if (arg == "--protocol") {
-      const char* v = next();
-      if (!v) return false;
-      opt.protocol = v;
-    } else if (arg == "--seconds") {
-      const char* v = next();
-      if (!v) return false;
-      opt.seconds = std::stod(v);
-    } else if (arg == "--instances") {
-      const char* v = next();
-      if (!v) return false;
-      opt.instances = static_cast<std::uint32_t>(std::stoul(v));
-    } else if (arg == "--interval") {
-      const char* v = next();
-      if (!v) return false;
-      opt.interval_ms = std::stoull(v);
-    } else if (arg == "--seed") {
-      const char* v = next();
-      if (!v) return false;
-      opt.seed = std::stoull(v);
-    } else if (arg == "--drop") {
-      const char* v = next();
-      if (!v) return false;
-      opt.drop = std::stod(v);
-    } else if (arg == "--interpret-workers") {
-      const char* v = next();
-      if (!v) return false;
-      opt.interpret_workers = static_cast<std::uint32_t>(std::stoul(v));
-    } else if (arg == "--batch") {
-      const char* v = next();
-      if (!v) return false;
-      const auto on = parse_on_off(v);
-      if (!on) return false;
-      opt.batch = *on;
-      opt.batch_set = true;
-    } else if (arg == "--wots") {
-      opt.sig = SigScheme::kWots;  // alias for --sig wots
-    } else if (arg == "--sig") {
-      const char* v = next();
-      if (!v) return false;
-      const auto scheme = parse_sig_scheme(v);
-      if (!scheme) return false;
-      opt.sig = *scheme;
-    } else if (arg == "--dot") {
-      const char* v = next();
-      if (!v) return false;
-      opt.dot_file = v;
-    } else if (arg == "--byzantine") {
-      const char* v = next();
-      if (!v) return false;
-      const std::string spec = v;
-      const auto colon = spec.find(':');
-      if (colon == std::string::npos) return false;
-      const auto id = static_cast<ServerId>(std::stoul(spec.substr(0, colon)));
-      const auto kind = parse_kind(spec.substr(colon + 1));
-      if (!kind) return false;
-      opt.byzantine[id] = *kind;
-    } else {
+  constexpr std::size_t kCount = std::size(kFlags);
+  static_assert(kCount <= 32, "seen holds one bit per flag");
+  std::uint32_t seen = 0;  // bit k: kFlags[k] given
+  for (int i = 0; i < argc; i += 2) {
+    std::size_t k = 0;
+    while (k < kCount && (std::strcmp(argv[i], kFlags[k].name) != 0 ||
+                          !(kFlags[k].commands & opt.command))) {
+      ++k;
+    }
+    if (k == kCount || i + 1 >= argc || !kFlags[k].apply(argv[i + 1], opt)) {
+      return false;
+    }
+    seen |= 1u << k;
+  }
+  for (std::size_t k = 0; k < kCount; ++k) {
+    if ((kFlags[k].required & opt.command) && !(seen & (1u << k))) return false;
+  }
+  opt.run.duration_ns = opt.duration_ns != 0
+                            ? opt.duration_ns
+                            : static_cast<std::uint64_t>(opt.seconds * 1e9);
+  if (opt.command == kRun) {
+    // Byzantine ids name servers of the cluster, and at least one server
+    // stays correct: the report reads its DAG.
+    return opt.run.n >= 1 && opt.byzantine.size() < opt.run.n &&
+           (opt.byzantine.empty() || opt.byzantine.rbegin()->first < opt.run.n);
+  }
+  // A member cluster has two servers or more, and all of its ports
+  // (base .. base + n − 1) fit in 16 bits.
+  return !(opt.command & kMember) ||
+         (opt.run.n >= 2 && opt.id < opt.run.n &&
+          static_cast<std::uint32_t>(opt.port) + opt.run.n - 1 <= 65535);
+}
+
+// The capability table of runtime/fuzz_plan.h, applied to the flags given.
+bool backend_supports(const Options& opt) {
+  const BackendCaps& caps = capabilities(opt.run.backend);
+  const struct {
+    const char* flag;
+    bool given;
+    bool BackendCaps::*cap;
+    const char* needs;
+  } kNeeds[] = {
+      {"serve/join", (opt.command & kMember) != 0, &BackendCaps::sockets,
+       "a socket wire (tcp|udp)"},
+      {"--interpret-workers", opt.run.interpret_workers.has_value(),
+       &BackendCaps::real,
+       "a real runtime (threads|tcp|udp): the simulator never parallelizes "
+       "interpretation, keeping seeded replays byte-deterministic"},
+      {"--batch", opt.seen_batch, &BackendCaps::real,
+       "a real runtime (threads|tcp|udp): the simulator is serial by design "
+       "and has no batching path"},
+      {opt.command == kRun ? "--drop" : "--loss", opt.drop != 0.0,
+       &BackendCaps::lossy, "a lossy wire (sim|udp)"},
+      {"--byzantine", !opt.byzantine.empty(), &BackendCaps::byzantine,
+       "the simulator (protocol-level fault injection; the forger slice of "
+       "`simctl fuzz --runtime threads --sig wots` hosts adversaries on the "
+       "real runtime)"},
+      {"--trace", !opt.trace_file.empty(), &BackendCaps::trace,
+       "the simulator (real runtimes have no virtual-time event log)"},
+  };
+  for (const auto& need : kNeeds) {
+    if (need.given && !(caps.*need.cap)) {
+      std::fprintf(stderr, "%s needs %s, not --runtime %s\n", need.flag,
+                   need.needs, backend_name(opt.run.backend));
       return false;
     }
   }
   return true;
 }
 
-// One request per instance, shaped for the chosen protocol.
-Bytes make_request(const std::string& protocol, std::uint32_t i) {
-  const Bytes value{static_cast<std::uint8_t>(i & 0xff)};
-  if (protocol == "brb") return brb::make_broadcast(value);
-  if (protocol == "bcb") return bcb::make_send(value);
-  if (protocol == "fifo") return fifo::make_broadcast(value);
-  if (protocol == "pbft") return pbft::make_propose(value);
-  if (protocol == "beacon") return beacon::make_contribute(0x1234 + i);
-  return {};
+// One synopsis per subcommand in `commands`, generated from kFlags.
+void print_usage(unsigned commands) {
+  const char* prefix = "usage: ";
+  for (unsigned bit = 0; bit < std::size(kCommandNames); ++bit) {
+    const unsigned command = 1u << bit;
+    if (!(commands & command)) continue;
+    std::string text;
+    std::string line = std::string(prefix) + "simctl " +
+                       (command == kRun ? "[run]" : kCommandNames[bit]);
+    const auto add = [&](const std::string& item) {
+      if (line.size() + 1 + item.size() > 78) {
+        text += line + "\n";
+        line = std::string(14, ' ');
+      }
+      line += " " + item;
+    };
+    for (const Flag& f : kFlags) {
+      if (f.required & command) add(std::string(f.name) + " " + f.value);
+    }
+    for (const Flag& f : kFlags) {
+      if ((f.commands & command) && !(f.required & command)) {
+        add("[" + std::string(f.name) + " " + f.value + "]");
+      }
+    }
+    std::fprintf(stderr, "%s%s\n", text.c_str(), line.c_str());
+    prefix = "       ";
+  }
+}
+
+// ---- simctl run ----
+
+// One row per wire class that carried traffic.
+void print_traffic(const WireMetrics& wire) {
+  Table traffic({"wire class", "messages", "bytes"});
+  for (std::size_t k = 0; k < static_cast<std::size_t>(WireKind::kCount); ++k) {
+    if (wire.messages[k] == 0) continue;
+    traffic.add_row({wire_kind_name(static_cast<WireKind>(k)),
+                     Table::num(wire.messages[k]), Table::num(wire.bytes[k])});
+  }
+  std::printf("\n");
+  traffic.print();
 }
 
 // The same deployment on the multi-threaded runtime: one OS thread per
 // server, real wall-clock pacing, bytes moved by the loopback transport
-// (--runtime threads) or by real localhost TCP sockets (--runtime tcp).
-// Reports aggregate throughput instead of the simulator's virtual-time
-// report.
+// (--runtime threads), real localhost TCP sockets (--runtime tcp) or lossy
+// UDP (--runtime udp). Reports aggregate throughput instead of the
+// simulator's virtual-time report.
 int run_threaded(const Options& opt, const ProtocolFactory& factory) {
-  if (!opt.byzantine.empty()) {
-    std::fprintf(stderr,
-                 "--runtime %s does not support --byzantine "
-                 "(protocol-level fault injection is simulator-only; "
-                 "the forger slice of `simctl fuzz --runtime threads --sig "
-                 "wots` hosts adversaries on the real runtime)\n",
-                 opt.runtime.c_str());
-    return 2;
-  }
-  if (opt.drop != 0.0 && opt.runtime != "udp") {
-    std::fprintf(stderr,
-                 "--drop needs a lossy wire: use --runtime sim or "
-                 "--runtime udp\n");
-    return 2;
-  }
-
-  rt::ThreadedConfig cfg;
-  cfg.n_servers = opt.n;
-  cfg.seed = opt.seed;
-  cfg.sig_scheme = opt.sig;
-  cfg.batching = opt.batch;
+  const RunHeader& h = opt.run;
+  rt::ThreadedConfig cfg = threaded_config(h);
   cfg.pacing.interval = sim_ms(opt.interval_ms);
-  if (opt.interpret_workers) {
-    cfg.interpret_workers = static_cast<std::size_t>(*opt.interpret_workers);
-  }
-  if (opt.runtime == "tcp") {
-    cfg.backend = rt::TransportBackend::kTcp;  // ephemeral localhost ports
-  } else if (opt.runtime == "udp") {
-    cfg.backend = rt::TransportBackend::kUdp;  // ephemeral localhost ports
-    cfg.udp.fault_seed = opt.seed;
-    cfg.udp.default_fault.drop = opt.drop;
-    // Fast RTOs: injected loss should cost milliseconds to recover.
-    cfg.udp.channel.initial_rto_ns = 5'000'000;
-    cfg.udp.channel.max_rto_ns = 80'000'000;
-  }
+  cfg.udp.default_fault.drop = opt.drop;  // only udp accepts --drop
 
   const auto t0 = std::chrono::steady_clock::now();
   rt::ThreadedRuntime runtime(factory, cfg);
   if (!runtime.transport_ok()) {
-    std::fprintf(stderr, "failed to bind %s sockets\n", opt.runtime.c_str());
+    std::fprintf(stderr, "failed to bind %s sockets\n", backend_name(h.backend));
     return 2;
   }
   runtime.start();
 
   std::uint32_t issued = 0;
-  for (std::uint32_t i = 0; i < opt.instances; ++i) {
-    if (opt.protocol == "beacon") {
-      const std::uint32_t needed = plausibility_quorum(opt.n);
-      for (std::uint32_t c = 0; c < needed && c < opt.n; ++c) {
-        runtime.request(c, 1 + i, beacon::make_contribute(0x1234 + i * 31 + c));
-      }
-    } else {
-      const ServerId target = opt.protocol == "pbft" ? 0 : i % opt.n;
-      runtime.request(target, 1 + i, make_request(opt.protocol, i));
+  for (std::uint32_t i = 0; i < h.instances; ++i) {
+    for (auto& [server, request] :
+         workload_requests(h.protocol, i, Issuers::all(h.n))) {
+      runtime.request(server, 1 + i, std::move(request));
     }
     ++issued;
   }
 
   // Poll for completion (every label indicated everywhere) up to the
   // wall-clock budget, then settle with explicit convergence rounds.
-  const auto deadline =
-      t0 + std::chrono::nanoseconds(static_cast<std::uint64_t>(opt.seconds * 1e9));
-  std::size_t complete = 0;
-  while (std::chrono::steady_clock::now() < deadline) {
-    complete = 0;
-    for (std::uint32_t i = 0; i < opt.instances; ++i) {
-      if (runtime.indicated_count(1 + i) == opt.n) ++complete;
+  const auto deadline = t0 + std::chrono::nanoseconds(h.duration_ns);
+  const auto count_complete = [&] {
+    std::uint32_t complete = 0;
+    for (std::uint32_t i = 0; i < h.instances; ++i) {
+      if (runtime.indicated_count(1 + i) == h.n) ++complete;
     }
-    if (complete == issued) break;
+    return complete;
+  };
+  while (std::chrono::steady_clock::now() < deadline &&
+         count_complete() != issued) {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
   const bool converged = runtime.quiesce_and_converge();
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-
-  complete = 0;
-  for (std::uint32_t i = 0; i < opt.instances; ++i) {
-    if (runtime.indicated_count(1 + i) == opt.n) ++complete;
-  }
+  const std::uint32_t complete = count_complete();
 
   std::printf("simctl report — runtime=%s protocol=%s n=%u instances=%u "
               "seed=%llu sig=%s batch=%s\n\n",
-              opt.runtime.c_str(), opt.protocol.c_str(), opt.n, issued,
-              static_cast<unsigned long long>(opt.seed),
-              sig_scheme_name(opt.sig), opt.batch ? "on" : "off");
+              backend_name(h.backend), h.protocol.c_str(), h.n, issued,
+              static_cast<unsigned long long>(h.seed), sig_scheme_name(h.sig),
+              h.batch ? "on" : "off");
   const std::uint64_t blocks = runtime.total_blocks_inserted();
-  std::printf("instances complete everywhere : %zu / %u\n", complete, issued);
+  std::printf("instances complete everywhere : %u / %u\n", complete, issued);
   std::printf("converged (joint DAG + interp) : %s\n", converged ? "yes" : "no");
   std::printf("wall time                      : %.3f s\n", wall);
   std::printf("aggregate blocks inserted      : %llu (%.0f blocks/s)\n",
               static_cast<unsigned long long>(blocks),
               wall > 0 ? static_cast<double>(blocks) / wall : 0.0);
-  if (opt.sig != SigScheme::kIdeal) {
+  if (h.sig != SigScheme::kIdeal) {
     const VerifierPoolStats vp = runtime.verifier_stats();
     std::printf("verifier pool                  : %llu submitted, %llu "
                 "verified in %llu batches, %llu cache hits\n",
@@ -380,14 +503,7 @@ int run_threaded(const Options& opt, const ProtocolFactory& factory) {
               static_cast<double>(is.merge_ns) / 1e6);
 
   const WireMetrics wire = runtime.wire_metrics();
-  Table traffic({"wire class", "messages", "bytes"});
-  for (std::size_t k = 0; k < static_cast<std::size_t>(WireKind::kCount); ++k) {
-    if (wire.messages[k] == 0) continue;
-    traffic.add_row({wire_kind_name(static_cast<WireKind>(k)),
-                     Table::num(wire.messages[k]), Table::num(wire.bytes[k])});
-  }
-  std::printf("\n");
-  traffic.print();
+  print_traffic(wire);
   if (runtime.tcp()) {
     const rt::TcpStats tcp = runtime.tcp()->stats();
     std::printf("sockets: %llu connections, %llu frames sent, %llu received, "
@@ -434,8 +550,8 @@ int run_threaded(const Options& opt, const ProtocolFactory& factory) {
     // link that carried traffic.
     Table links({"link", "datagrams", "chunks", "rexmit", "resets", "dedup",
                  "inj.drop", "inj.dup"});
-    for (ServerId a = 0; a < opt.n; ++a) {
-      for (ServerId b = 0; b < opt.n; ++b) {
+    for (ServerId a = 0; a < h.n; ++a) {
+      for (ServerId b = 0; b < h.n; ++b) {
         if (a == b) continue;
         const rt::UdpLinkStats link = runtime.udp()->link_stats(a, b);
         if (link.datagrams_sent == 0 && link.chunks_delivered == 0) continue;
@@ -457,14 +573,14 @@ int run_threaded(const Options& opt, const ProtocolFactory& factory) {
   bool digests_equal = converged;
   const Bytes dag0 = runtime.dag_digest(0);
   const Bytes interp0 = runtime.interpretation_digest(0);
-  for (ServerId s = 1; s < opt.n; ++s) {
+  for (ServerId s = 1; s < h.n; ++s) {
     if (runtime.dag_digest(s) != dag0 ||
         runtime.interpretation_digest(s) != interp0) {
       digests_equal = false;
     }
   }
   std::printf("\nidentical DAG + interpretation digests on all %u servers: %s\n",
-              opt.n, digests_equal ? "yes" : "NO");
+              h.n, digests_equal ? "yes" : "NO");
 
   if (!opt.dot_file.empty()) {
     const std::string dot =
@@ -476,101 +592,54 @@ int run_threaded(const Options& opt, const ProtocolFactory& factory) {
   return (complete == issued && digests_equal) ? 0 : 1;
 }
 
-const ProtocolFactory* factory_for(const std::string& protocol) {
-  static brb::BrbFactory brb_factory;
-  static bcb::BcbFactory bcb_factory;
-  static fifo::FifoBrbFactory fifo_factory;
-  static pbft::PbftFactory pbft_factory;
-  static beacon::BeaconFactory beacon_factory;
-  if (protocol == "brb") return &brb_factory;
-  if (protocol == "bcb") return &bcb_factory;
-  if (protocol == "fifo") return &fifo_factory;
-  if (protocol == "pbft") return &pbft_factory;
-  if (protocol == "beacon") return &beacon_factory;
-  return nullptr;
-}
-
 int run(const Options& opt) {
-  const ProtocolFactory* factory = factory_for(opt.protocol);
-  if (!factory) {
-    std::fprintf(stderr, "unknown protocol '%s'\n", opt.protocol.c_str());
-    return 2;
-  }
-
-  if (opt.runtime == "threads" || opt.runtime == "tcp" || opt.runtime == "udp") {
-    return run_threaded(opt, *factory);
-  }
-  if (opt.interpret_workers) {
-    std::fprintf(stderr,
-                 "--interpret-workers needs a real runtime (threads|tcp|udp): "
-                 "the simulator never parallelizes interpretation, keeping "
-                 "seeded replays byte-deterministic\n");
-    return 2;
-  }
-  if (opt.batch_set) {
-    std::fprintf(stderr,
-                 "--batch needs a real runtime (threads|tcp|udp); the "
-                 "simulator is serial by design and has no batching path\n");
-    return 2;
-  }
+  const RunHeader& h = opt.run;
+  const ProtocolFactory& factory = *protocol_factory(h.protocol);
+  if (capabilities(h.backend).real) return run_threaded(opt, factory);
 
   ClusterConfig cfg;
-  cfg.n_servers = opt.n;
-  cfg.seed = opt.seed;
-  cfg.sig_scheme = opt.sig;
+  cfg.n_servers = h.n;
+  cfg.seed = h.seed;
+  cfg.sig_scheme = h.sig;
   cfg.pacing.interval = sim_ms(opt.interval_ms);
   cfg.net.drop_probability = opt.drop;
   cfg.net.max_drops_per_pair = 16;
   cfg.byzantine = opt.byzantine;
 
-  Cluster cluster(*factory, cfg);
+  Cluster cluster(factory, cfg);
   cluster.start();
 
-  std::vector<SimTime> requested_at(opt.instances, 0);
+  // Requests go to correct servers only: round-robin from server i, PBFT
+  // proposals from the view-0 leader (server 0) on — if it is byzantine
+  // the complaint path would be needed, which simctl does not script.
+  const Issuers issuers{h.n, h.n, cluster.correct_servers(), false};
+  std::vector<SimTime> requested_at(h.instances, 0);
   std::uint32_t issued = 0;
-  for (std::uint32_t i = 0; i < opt.instances; ++i) {
-    // Route to the first correct server in round-robin order — except
-    // PBFT proposals, which only progress if the view-0 leader (server 0)
-    // learns them; if it is byzantine the complaint path would be needed,
-    // which simctl does not script.
-    ServerId target = opt.protocol == "pbft" ? 0 : i % opt.n;
-    for (std::uint32_t tries = 0; tries < opt.n && !cluster.is_correct(target);
-         ++tries) {
-      target = (target + 1) % opt.n;
-    }
-    if (!cluster.is_correct(target)) continue;
+  for (std::uint32_t i = 0; i < h.instances; ++i) {
+    auto requests = workload_requests(h.protocol, i, issuers);
+    if (requests.empty()) continue;
     requested_at[i] = cluster.scheduler().now();
-    if (opt.protocol == "beacon") {
-      // A beacon emits after f+1 distinct contributions: have the first
-      // f+1 correct servers each inscribe their own coins.
-      const auto correct = cluster.correct_servers();
-      const std::uint32_t needed = plausibility_quorum(opt.n);
-      for (std::uint32_t c = 0; c < needed && c < correct.size(); ++c) {
-        cluster.request(correct[c], 1 + i,
-                        beacon::make_contribute(0x1234 + i * 31 + c));
-      }
-    } else {
-      cluster.request(target, 1 + i, make_request(opt.protocol, i));
+    for (auto& [server, request] : requests) {
+      cluster.request(server, 1 + i, std::move(request));
     }
     ++issued;
   }
-  cluster.run_for(static_cast<SimTime>(opt.seconds * 1e9));
+  cluster.run_for(h.duration_ns);
   cluster.stop();
 
   // ---- report ----
   std::printf("simctl report — protocol=%s n=%u instances=%u seed=%llu sig=%s\n\n",
-              opt.protocol.c_str(), opt.n, issued,
-              static_cast<unsigned long long>(opt.seed),
-              sig_scheme_name(opt.sig));
+              h.protocol.c_str(), h.n, issued,
+              static_cast<unsigned long long>(h.seed), sig_scheme_name(h.sig));
 
   Histogram latency;
   std::size_t complete = 0;
-  for (std::uint32_t i = 0; i < opt.instances; ++i) {
+  for (std::uint32_t i = 0; i < h.instances; ++i) {
     if (cluster.indicated_count(1 + i) == cluster.n_correct()) ++complete;
   }
   for (ServerId s : cluster.correct_servers()) {
     for (const UserIndication& ind : cluster.shim(s).indications()) {
-      if (ind.label >= 1 && ind.label <= opt.instances) {
+      if (ind.label >= 1 && ind.label <= h.instances) {
         latency.record(static_cast<double>(ind.at - requested_at[ind.label - 1]) / 1e6);
       }
     }
@@ -579,14 +648,7 @@ int run(const Options& opt) {
   std::printf("delivery latency (ms)          : %s\n", latency.summary(1).c_str());
 
   const auto& wire = cluster.network().metrics();
-  Table traffic({"wire class", "messages", "bytes"});
-  for (std::size_t k = 0; k < static_cast<std::size_t>(WireKind::kCount); ++k) {
-    if (wire.messages[k] == 0) continue;
-    traffic.add_row({wire_kind_name(static_cast<WireKind>(k)),
-                     Table::num(wire.messages[k]), Table::num(wire.bytes[k])});
-  }
-  std::printf("\n");
-  traffic.print();
+  print_traffic(wire);
   std::printf("dropped: %llu\n", static_cast<unsigned long long>(wire.dropped));
 
   const ServerId witness = cluster.correct_servers().front();
@@ -612,124 +674,9 @@ int run(const Options& opt) {
 
 // ---- multi-process cluster (serve / join) ----
 
-// Shared argv parsers, defined with the scenario-engine subcommands below.
-bool parse_u64(const std::string& s, std::uint64_t& out);
-bool parse_u32(const char* s, std::uint32_t& out);
-bool parse_duration(const char* s, double& out);
-
-struct MemberOptions {
-  ServerId id = 0;  // serve: 0; join: --id
-  std::uint32_t n = 2;
-  std::string runtime = "tcp";  // tcp | udp
-  std::string protocol = "brb";
-  std::uint32_t instances = 4;
-  std::uint64_t interval_ms = 5;
-  std::uint64_t seed = 1;
-  double seconds = 30.0;  // wall-clock budget for the whole run
-  std::uint16_t port = 0; // base port: server s listens on 127.0.0.1:(port+s)
-  double loss = 0.0;      // udp only: injected drop rate on outbound links
-  // Signature scheme — every member of a cluster must agree on it (blocks
-  // signed under one scheme do not verify under another).
-  SigScheme sig = SigScheme::kIdeal;
-  // Durable crash recovery (DESIGN.md §10): when set, this member persists
-  // checkpoints + a block log under the directory, restores from it on
-  // startup (exit 3 if the durable state is corrupt) and mounts a
-  // state-sync engine to catch up on history it missed while down. All
-  // members of a cluster must agree on whether checkpoints are on — epoch
-  // GC changes the live set the digest settle compares.
-  std::string data_dir;
-  std::uint64_t checkpoint_blocks = 32;  // epoch cadence (with --data-dir)
-  // Parallel-interpretation workers (unset = auto, 0 = serial). Purely
-  // local tuning: members of one cluster need not agree on it — the engine
-  // never changes what is computed (Lemma 4.2), only on how many threads.
-  std::optional<std::uint32_t> interpret_workers;
-  // Dissemination batching (--batch on|off). Local tuning like the worker
-  // count: the kBatch envelope is self-describing, so a batching member
-  // interoperates with a non-batching one.
-  bool batch = true;
-};
-
-bool parse_member_args(int argc, char** argv, MemberOptions& opt, bool join) {
-  bool seen_port = false;
-  bool seen_id = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const char* v = i + 1 < argc ? argv[i + 1] : nullptr;
-    std::uint32_t u = 0;
-    if (arg == "--id" && join) {
-      if (!v || !parse_u32(v, u) || u == 0) return false;
-      opt.id = u;
-      seen_id = true;
-    } else if (arg == "--n") {
-      if (!v || !parse_u32(v, u) || u < 2) return false;
-      opt.n = u;
-    } else if (arg == "--port") {
-      if (!v || !parse_u32(v, u) || u == 0 || u > 65535) return false;
-      opt.port = static_cast<std::uint16_t>(u);
-      seen_port = true;
-    } else if (arg == "--protocol") {
-      if (!v) return false;
-      opt.protocol = v;
-      if (!factory_for(opt.protocol)) return false;
-    } else if (arg == "--instances") {
-      if (!v || !parse_u32(v, u)) return false;
-      opt.instances = u;
-    } else if (arg == "--interval") {
-      if (!v || !parse_u32(v, u) || u == 0) return false;
-      opt.interval_ms = u;
-    } else if (arg == "--seed") {
-      std::uint64_t s = 0;
-      if (!v || !parse_u64(v, s)) return false;
-      opt.seed = s;
-    } else if (arg == "--seconds") {
-      double s = 0;
-      if (!v || !parse_duration(v, s)) return false;
-      opt.seconds = s;
-    } else if (arg == "--runtime") {
-      if (!v) return false;
-      opt.runtime = v;
-      if (opt.runtime != "tcp" && opt.runtime != "udp") return false;
-    } else if (arg == "--loss") {
-      if (!v) return false;
-      try {
-        opt.loss = std::stod(v);
-      } catch (...) {
-        return false;
-      }
-      if (opt.loss < 0.0 || opt.loss >= 1.0) return false;
-    } else if (arg == "--sig") {
-      if (!v) return false;
-      const auto scheme = parse_sig_scheme(v);
-      if (!scheme) return false;
-      opt.sig = *scheme;
-    } else if (arg == "--data-dir") {
-      if (!v || *v == '\0') return false;
-      opt.data_dir = v;
-    } else if (arg == "--checkpoint") {
-      std::uint64_t k = 0;
-      if (!v || !parse_u64(v, k) || k == 0) return false;
-      opt.checkpoint_blocks = k;
-    } else if (arg == "--interpret-workers") {
-      if (!v || !parse_u32(v, u)) return false;
-      opt.interpret_workers = u;
-    } else if (arg == "--batch") {
-      if (!v) return false;
-      const auto on = parse_on_off(v);
-      if (!on) return false;
-      opt.batch = *on;
-    } else {
-      return false;
-    }
-    ++i;
-  }
-  if (opt.loss != 0.0 && opt.runtime != "udp") return false;
-  // The whole cluster's ports (base .. base + n − 1) must fit in 16 bits.
-  return seen_port && (!join || seen_id) && opt.id < opt.n &&
-         static_cast<std::uint32_t>(opt.port) + opt.n - 1 <= 65535;
-}
-
 // The digest beat every member broadcasts on the control plane
-// (WireKind::kControl — routed by the TCP transport, invisible to gossip).
+// (WireKind::kControl — routed by the socket transports, invisible to
+// gossip).
 Bytes encode_digest_beat(const Bytes& dag, const Bytes& interp, bool done) {
   Writer w;
   // A tagged envelope like every payload (net/codec.h): the tag is what
@@ -751,30 +698,18 @@ Bytes encode_digest_beat(const Bytes& dag, const Bytes& interp, bool done) {
 // delivered locally. Over UDP with --loss the digest beats themselves ride
 // the retransmitting channels, so agreement doubles as a liveness check of
 // the reliability layer across process boundaries.
-int run_member(const MemberOptions& opt, const char* role) {
-  const ProtocolFactory* factory = factory_for(opt.protocol);
-  if (!factory) return 2;
-
-  rt::ThreadedConfig cfg;
-  cfg.n_servers = opt.n;
-  cfg.seed = opt.seed;
-  cfg.sig_scheme = opt.sig;
-  cfg.batching = opt.batch;
+int run_member(const Options& opt) {
+  const RunHeader& h = opt.run;
+  const char* role = opt.command == kJoin ? "join" : "serve";
+  rt::ThreadedConfig cfg = threaded_config(h);
   cfg.pacing.interval = sim_ms(opt.interval_ms);
   cfg.gossip.fwd_retry_delay = sim_ms(20);
-  if (opt.interpret_workers) {
-    cfg.interpret_workers = static_cast<std::size_t>(*opt.interpret_workers);
-  }
-  if (opt.runtime == "udp") {
-    cfg.backend = rt::TransportBackend::kUdp;
+  if (h.backend == Backend::kUdp) {
     cfg.udp.base_port = opt.port;
     cfg.udp.local_servers = {opt.id};
-    cfg.udp.fault_seed = opt.seed + opt.id;  // distinct decision streams
-    cfg.udp.default_fault.drop = opt.loss;   // applied to outbound datagrams
-    cfg.udp.channel.initial_rto_ns = 5'000'000;
-    cfg.udp.channel.max_rto_ns = 80'000'000;
+    cfg.udp.fault_seed = h.seed + opt.id;  // distinct decision streams
+    cfg.udp.default_fault.drop = opt.drop;  // applied to outbound datagrams
   } else {
-    cfg.backend = rt::TransportBackend::kTcp;
     cfg.tcp.base_port = opt.port;
     cfg.tcp.local_servers = {opt.id};
   }
@@ -810,9 +745,9 @@ int run_member(const MemberOptions& opt, const char* role) {
     bool seen = false;
   };
   std::mutex peers_mu;
-  std::vector<PeerView> peers(opt.n);
+  std::vector<PeerView> peers(h.n);
 
-  rt::ThreadedRuntime runtime(*factory, cfg);
+  rt::ThreadedRuntime runtime(*protocol_factory(h.protocol), cfg);
   if (!runtime.transport_ok()) {
     std::fprintf(stderr,
                  "simctl %s: failed to bind 127.0.0.1:%u (port in use or "
@@ -854,9 +789,8 @@ int run_member(const MemberOptions& opt, const char* role) {
       });
 
   std::printf("simctl %s — server %u of %u, protocol=%s, %s 127.0.0.1:%u..%u%s\n",
-              role, opt.id, opt.n, opt.protocol.c_str(), opt.runtime.c_str(),
-              opt.port, opt.port + opt.n - 1,
-              opt.loss > 0.0 ? " (lossy)" : "");
+              role, opt.id, h.n, h.protocol.c_str(), backend_name(h.backend),
+              opt.port, opt.port + h.n - 1, opt.drop > 0.0 ? " (lossy)" : "");
   runtime.start();
   if (store) {
     // Catch up on history missed while down (restart over an existing data
@@ -868,32 +802,21 @@ int run_member(const MemberOptions& opt, const char* role) {
 
   // This process's share of the workload: the member hosting the issuing
   // server of instance i makes the request (the same routing rule as
-  // `simctl run`: round-robin, PBFT proposals through the view-0 leader,
-  // beacon contributions from the first f+1 servers). A restored member
-  // skips instances its pre-crash incarnation already delivered — the
-  // indication log survives the crash, and re-issuing a completed instance
-  // would double-deliver it.
-  for (std::uint32_t i = 0; i < opt.instances; ++i) {
+  // `simctl run`). A restored member skips instances its pre-crash
+  // incarnation already delivered — the indication log survives the
+  // crash, and re-issuing a completed instance would double-deliver it.
+  for (std::uint32_t i = 0; i < h.instances; ++i) {
     if (runtime.indicated_count(1 + i) != 0) continue;
-    if (opt.protocol == "beacon") {
-      const std::uint32_t needed = plausibility_quorum(opt.n);
-      if (opt.id < needed) {
-        runtime.request(opt.id, 1 + i,
-                        beacon::make_contribute(0x1234 + i * 31 + opt.id));
-      }
-    } else {
-      const ServerId issuer = opt.protocol == "pbft" ? 0 : i % opt.n;
-      if (issuer == opt.id) {
-        runtime.request(opt.id, 1 + i, make_request(opt.protocol, i));
-      }
+    for (auto& [server, request] :
+         workload_requests(h.protocol, i, Issuers::all(h.n))) {
+      if (server == opt.id) runtime.request(opt.id, 1 + i, std::move(request));
     }
   }
 
   const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::nanoseconds(static_cast<std::uint64_t>(opt.seconds * 1e9));
+      std::chrono::steady_clock::now() + std::chrono::nanoseconds(h.duration_ns);
   const auto labels_complete = [&] {
-    for (std::uint32_t i = 0; i < opt.instances; ++i) {
+    for (std::uint32_t i = 0; i < h.instances; ++i) {
       if (runtime.indicated_count(1 + i) != 1) return false;
     }
     return true;
@@ -933,14 +856,14 @@ int run_member(const MemberOptions& opt, const char* role) {
     const bool self_done = labels_complete() && pending == 0 && stable >= 2;
 
     const Bytes beat = encode_digest_beat(dag, interp, self_done);
-    for (ServerId s = 0; s < opt.n; ++s) {
+    for (ServerId s = 0; s < h.n; ++s) {
       if (s != opt.id) send_control(s, Bytes(beat));
     }
 
     bool cluster_done = self_done;
     {
       std::lock_guard<std::mutex> lock(peers_mu);
-      for (ServerId s = 0; s < opt.n && cluster_done; ++s) {
+      for (ServerId s = 0; s < h.n && cluster_done; ++s) {
         if (s == opt.id) continue;
         const PeerView& peer = peers[s];
         if (!peer.seen || !peer.done || peer.dag != dag || peer.interp != interp) {
@@ -953,7 +876,7 @@ int run_member(const MemberOptions& opt, const char* role) {
       // before this process (and its sockets) disappear.
       for (int i = 0; i < 3; ++i) {
         std::this_thread::sleep_for(std::chrono::milliseconds(50));
-        for (ServerId s = 0; s < opt.n; ++s) {
+        for (ServerId s = 0; s < h.n; ++s) {
           if (s != opt.id) send_control(s, Bytes(beat));
         }
       }
@@ -1018,988 +941,54 @@ int run_member(const MemberOptions& opt, const char* role) {
   return exit_code;
 }
 
-int cmd_member(int argc, char** argv, bool join) {
-  MemberOptions opt;
-  if (!parse_member_args(argc, argv, opt, join)) {
-    std::fprintf(stderr,
-                 "usage: simctl serve --n N --port PORT [--runtime tcp|udp] "
-                 "[--loss P]\n"
-                 "                    [--protocol P] [--instances K] "
-                 "[--seconds S]\n"
-                 "                    [--interval MS] [--seed X] "
-                 "[--sig ideal|hmac|wots]\n"
-                 "                    [--data-dir DIR] [--checkpoint K]\n"
-                 "                    [--interpret-workers N] [--batch on|off]\n"
-                 "       simctl join --id I --n N --port PORT [same options]\n"
-                 "(--data-dir: persist checkpoints + block log, restore on "
-                 "restart; exit 3 on corrupt state. All members must agree "
-                 "on whether --data-dir is used.)\n");
-    return 2;
-  }
-  return run_member(opt, join ? "join" : "serve");
-}
-
 // ---- scenario engine subcommands ----
 
-struct FuzzOptions {
-  std::uint64_t first_seed = 0;
-  std::uint64_t last_seed = 0;
-  std::string runtime = "sim";   // sim | udp (real sockets, live injection)
-  std::string protocol = "mix";
-  std::uint32_t n = 0;           // 0 = rotate per seed
-  std::uint32_t instances = 6;
-  double duration_s = 1.0;       // --duration (human-friendly seconds)
-  std::uint64_t duration_ns = 0; // --duration-ns (exact; overrides seconds)
-  // Signature scheme for every run in the sweep. A non-ideal scheme also
-  // arms the forger adversary (sim: kForger joins the byzantine-kind pool;
-  // threads/tcp: one raw-hosted forger floods invalidly-signed blocks) —
-  // the rejection path is only interesting when signatures are real.
-  // Ideal-scheme fuzz stays byte-identical to pre-forger seeds.
-  SigScheme sig = SigScheme::kIdeal;
-  // Parallel-interpretation workers on the real-runtime slices (threads/
-  // tcp/udp; unset = auto, 0 = serial). Pinned into repro lines so a
-  // failure under a specific worker count replays under that count. The
-  // sim slice rejects it (no engine in the simulator).
-  std::optional<std::uint32_t> interpret_workers;
-  // Dissemination batching on the real-runtime slices (--batch on|off).
-  // Applied post-derivation like --sig: it never perturbs a derived
-  // scenario, so the same seed exercises the same plan under both modes
-  // and digests must agree. Pinned into repro lines when off.
-  bool batch = true;
-  bool batch_set = false;  // --batch given explicitly (rejected on --runtime sim)
-  std::string repro_file;
-  std::string trace_file;        // replay only
-};
-
-// The fuzz derivation: protocol and cluster size rotate deterministically
-// per seed unless pinned. Repro lines pin everything explicitly, so replay
-// stays exact even if these rotations ever change.
-ScenarioConfig scenario_for_seed(std::uint64_t seed, const FuzzOptions& opt) {
-  static const char* kProtocols[] = {"brb", "bcb", "fifo", "pbft", "beacon"};
-  static const std::uint32_t kSizes[] = {4, 7, 10};
-  ScenarioConfig cfg;
-  cfg.seed = seed;
-  cfg.protocol = opt.protocol == "mix" ? kProtocols[seed % 5] : opt.protocol;
-  cfg.n_servers = opt.n != 0 ? opt.n : kSizes[(seed / 5) % 3];
-  cfg.instances = opt.instances;
-  cfg.duration = opt.duration_ns != 0 ? opt.duration_ns
-                                      : static_cast<SimTime>(opt.duration_s * 1e9);
-  cfg.sig_scheme = opt.sig;
-  // Real signatures arm the forger: a new fuzz grammar (the kind pool
-  // grows), so it is gated on --sig to keep ideal-scheme seeds replayable
-  // against historical repro lines.
-  cfg.allow_forger = opt.sig != SigScheme::kIdeal;
-  return cfg;
-}
-
-std::string repro_line(const ScenarioConfig& cfg) {
-  char buf[256];
-  // Integer nanoseconds, the simulator's native unit: a decimal-seconds
-  // double does not survive the ns→s→ns round trip for every value, and
-  // every fault-plan time is derived from the duration, so a 1 ns slip
-  // would replay a different scenario.
-  std::snprintf(buf, sizeof buf,
-                "simctl replay --seed %llu --protocol %s --n %u --instances %u "
-                "--duration-ns %llu",
-                static_cast<unsigned long long>(cfg.seed), cfg.protocol.c_str(),
-                cfg.n_servers, cfg.instances,
-                static_cast<unsigned long long>(effective_duration(cfg)));
-  std::string line = buf;
-  if (cfg.sig_scheme != SigScheme::kIdeal) {
-    line += std::string(" --sig ") + sig_scheme_name(cfg.sig_scheme);
-  }
-  return line;
-}
-
-// ---- UDP fuzz: the faultplan grammar ported to real sockets ----
-
-// One seed, one wire-fault profile, derived exactly the same way by fuzz
-// and replay. Cluster sizes rotate smaller than the simulator's (these are
-// live clusters with one OS thread per server, fifty-plus per CI run);
-// the grammar is otherwise the simulator's: a baseline loss/reorder/
-// duplication regime, a geo-latency band, a few asymmetric hostile links,
-// and (half the seeds) a mid-run partition healed before settle. The
-// injected profile is a pure function of the seed; the socket timing
-// underneath is real, which is the point.
-struct UdpScenario {
-  std::uint64_t seed = 0;
-  std::string protocol;
-  std::uint32_t n = 4;
-  std::uint32_t instances = 6;
-  std::uint64_t duration_ns = 0;
-  SigScheme sig = SigScheme::kIdeal;
-  std::optional<std::uint32_t> interpret_workers;
-  bool batch = true;
-  rt::LinkFault base;
-  struct Override {
-    ServerId from = 0;
-    ServerId to = 0;
-    rt::LinkFault fault;
-  };
-  std::vector<Override> overrides;
-  bool partition = false;
-  ServerId isolated = 0;  // {isolated} vs rest, the middle third of the run
-};
-
-UdpScenario udp_scenario_for_seed(std::uint64_t seed, const FuzzOptions& opt) {
-  static const char* kProtocols[] = {"brb", "bcb", "fifo", "pbft", "beacon"};
-  static const std::uint32_t kSizes[] = {3, 4, 5};
-  UdpScenario sc;
-  sc.seed = seed;
-  sc.protocol = opt.protocol == "mix" ? kProtocols[seed % 5] : opt.protocol;
-  sc.n = opt.n != 0 ? opt.n : kSizes[(seed / 5) % 3];
-  sc.instances = opt.instances;
-  sc.duration_ns = opt.duration_ns != 0
-                       ? opt.duration_ns
-                       : static_cast<std::uint64_t>(opt.duration_s * 1e9);
-  sc.sig = opt.sig;  // scheme never perturbs the derived fault profile
-  sc.interpret_workers = opt.interpret_workers;  // ditto (post-derivation)
-  sc.batch = opt.batch;                          // ditto
-  Rng rng(seed ^ 0x9e3779b97f4a7c15ULL);  // distinct from the injector's RNG
-  sc.base.drop = 0.25 * rng.unit();
-  sc.base.reorder = 0.30 * rng.unit();
-  sc.base.duplicate = 0.20 * rng.unit();
-  switch (rng.below(3)) {  // geo-latency band
-    case 0: break;  // same rack: no added delay
-    case 1:
-      sc.base.delay_min_us = 100;
-      sc.base.delay_max_us = 2000;
-      break;
-    case 2:
-      sc.base.delay_min_us = 1000;
-      sc.base.delay_max_us = 8000;
-      break;
-  }
-  // Asymmetric hostility: up to n−1 directed links markedly worse than the
-  // baseline (loss is not symmetric in real networks; acks die too).
-  const std::uint64_t hostile = rng.below(sc.n);
-  for (std::uint64_t k = 0; k < hostile; ++k) {
-    const auto from = static_cast<ServerId>(rng.below(sc.n));
-    auto to = static_cast<ServerId>(rng.below(sc.n));
-    if (to == from) to = (to + 1) % sc.n;
-    rt::LinkFault fault = sc.base;
-    fault.drop = 0.20 + 0.20 * rng.unit();
-    sc.overrides.push_back({from, to, fault});
-  }
-  sc.partition = rng.chance(0.5);
-  sc.isolated = static_cast<ServerId>(rng.below(sc.n));
-  return sc;
-}
-
-std::string udp_repro_line(const UdpScenario& sc) {
-  char buf[256];
-  std::snprintf(buf, sizeof buf,
-                "simctl replay --runtime udp --seed %llu --protocol %s --n %u "
-                "--instances %u --duration-ns %llu",
-                static_cast<unsigned long long>(sc.seed), sc.protocol.c_str(),
-                sc.n, sc.instances,
-                static_cast<unsigned long long>(sc.duration_ns));
-  std::string line = buf;
-  if (sc.sig != SigScheme::kIdeal) {
-    line += std::string(" --sig ") + sig_scheme_name(sc.sig);
-  }
-  if (sc.interpret_workers) {
-    line += " --interpret-workers " + std::to_string(*sc.interpret_workers);
-  }
-  if (!sc.batch) line += " --batch off";
-  return line;
-}
-
-void print_udp_plan(const UdpScenario& sc) {
-  std::printf("---- wire-fault profile ----\n");
-  std::printf("base: drop=%.3f reorder=%.3f dup=%.3f delay=%u..%u us\n",
-              sc.base.drop, sc.base.reorder, sc.base.duplicate,
-              sc.base.delay_min_us, sc.base.delay_max_us);
-  for (const auto& o : sc.overrides) {
-    std::printf("hostile link %u->%u: drop=%.3f\n", o.from, o.to,
-                o.fault.drop);
-  }
-  if (sc.partition) {
-    std::printf("partition: {%u} | rest, middle third, healed before settle\n",
-                sc.isolated);
-  }
-}
-
-// Runs one derived scenario on live UDP sockets with the fault injector in
-// path, then applies the same always-on checkers the simulator engine
-// uses: convergence (Lemma 3.7 joint DAG + Lemma 4.2 interpretation),
-// totality (every instance indicated everywhere), and injection sanity
-// (the profile really fired; nothing corrupted a frame stream). Lossy
-// faults stay active through settle — only partitions heal; retransmission
-// and the gossip FWD path are what must close the gap.
-std::vector<std::string> run_udp_scenario(const UdpScenario& sc) {
-  std::vector<std::string> violations;
-  const ProtocolFactory* factory = factory_for(sc.protocol);
-  if (!factory) return {"unknown protocol '" + sc.protocol + "'"};
-
-  rt::ThreadedConfig cfg;
-  cfg.n_servers = sc.n;
-  cfg.seed = sc.seed;
-  cfg.sig_scheme = sc.sig;
-  cfg.batching = sc.batch;
-  cfg.pacing.interval = sim_ms(2);
-  // FWD retry matched to the loss regime: a 5ms retry against a lossy,
-  // RTO-bound link just queues duplicate recovery payloads behind the
-  // head-of-line chunk and starves the catch-up of a partitioned server.
-  cfg.gossip.fwd_retry_delay = sim_ms(20);
-  cfg.backend = rt::TransportBackend::kUdp;  // ephemeral ports
-  cfg.udp.fault_seed = sc.seed;
-  cfg.udp.default_fault = sc.base;
-  cfg.udp.channel.initial_rto_ns = 5'000'000;
-  cfg.udp.channel.max_rto_ns = 80'000'000;
-  if (sc.interpret_workers) {
-    cfg.interpret_workers = static_cast<std::size_t>(*sc.interpret_workers);
-  }
-  rt::ThreadedRuntime runtime(*factory, cfg);
-  if (!runtime.transport_ok()) return {"failed to bind UDP sockets"};
-  for (const auto& o : sc.overrides) {
-    runtime.udp()->set_link_fault(o.from, o.to, o.fault);
-  }
-  runtime.start();
-
-  for (std::uint32_t i = 0; i < sc.instances; ++i) {
-    if (sc.protocol == "beacon") {
-      const std::uint32_t needed = plausibility_quorum(sc.n);
-      for (std::uint32_t c = 0; c < needed && c < sc.n; ++c) {
-        runtime.request(c, 1 + i, beacon::make_contribute(0x1234 + i * 31 + c));
-      }
-    } else {
-      const ServerId target = sc.protocol == "pbft" ? 0 : i % sc.n;
-      runtime.request(target, 1 + i, make_request(sc.protocol, i));
-    }
-  }
-
-  std::vector<ServerId> rest;
-  for (ServerId s = 0; s < sc.n; ++s) {
-    if (s != sc.isolated) rest.push_back(s);
-  }
-  const auto third = std::chrono::nanoseconds(sc.duration_ns / 3);
-  std::this_thread::sleep_for(third);
-  if (sc.partition) runtime.udp()->set_partition({sc.isolated}, rest, true);
-  std::this_thread::sleep_for(third);
-  if (sc.partition) runtime.udp()->set_partition({sc.isolated}, rest, false);
-  std::this_thread::sleep_for(third);
-
-  // Deep settle budget: lossy links stay hostile through settle, so the
-  // retransmit/FWD gap-closing can need many beats on a bad seed (with
-  // ±RTO jitter on top); converged runs still exit on the early rounds.
-  if (!runtime.quiesce_and_converge(/*max_rounds=*/256)) {
-    violations.push_back("cluster did not quiesce to a converged DAG");
-  }
-  const Bytes dag0 = runtime.dag_digest(0);
-  const Bytes interp0 = runtime.interpretation_digest(0);
-  for (ServerId s = 1; s < sc.n; ++s) {
-    if (runtime.dag_digest(s) != dag0) {
-      violations.push_back("DAG digest mismatch at server " + std::to_string(s));
-    }
-    if (runtime.interpretation_digest(s) != interp0) {
-      violations.push_back("interpretation digest mismatch at server " +
-                           std::to_string(s));
-    }
-  }
-  for (std::uint32_t i = 0; i < sc.instances; ++i) {
-    if (runtime.indicated_count(1 + i) != sc.n) {
-      violations.push_back("instance " + std::to_string(1 + i) +
-                           " not indicated everywhere");
-    }
-  }
-  const rt::UdpStats stats = runtime.udp()->stats();
-  if (sc.base.drop > 0.01 && stats.injected_drops == 0) {
-    violations.push_back("drop profile never fired (injector no-op?)");
-  }
-  if (sc.base.duplicate > 0.01 && stats.injected_dups == 0) {
-    violations.push_back("duplicate profile never fired (injector no-op?)");
-  }
-  if (stats.corrupt_streams != 0) {
-    violations.push_back("corrupt frame stream on a reliable channel");
-  }
-  if (stats.malformed_dropped != 0) {
-    violations.push_back("malformed datagrams between honest endpoints");
-  }
-  if (!violations.empty()) {
-    // Failure diagnostics: which server is behind and what its links did.
-    for (ServerId s = 0; s < sc.n; ++s) {
-      const auto [dag_size, pending] = runtime.call(s, [](Shim& shim) {
-        return std::make_pair(shim.dag().size(), shim.gossip().pending_blocks());
-      });
-      std::fprintf(stderr, "  server %u: dag=%zu pending=%zu\n", s, dag_size,
-                   pending);
-    }
-    for (ServerId a = 0; a < sc.n; ++a) {
-      for (ServerId b = 0; b < sc.n; ++b) {
-        if (a == b) continue;
-        const rt::UdpLinkStats ls = runtime.udp()->link_stats(a, b);
-        std::fprintf(stderr,
-                     "  link %u->%u: sent=%llu retx=%llu resets=%llu "
-                     "drops=%llu\n",
-                     a, b, static_cast<unsigned long long>(ls.datagrams_sent),
-                     static_cast<unsigned long long>(ls.retransmits),
-                     static_cast<unsigned long long>(ls.channel_resets),
-                     static_cast<unsigned long long>(ls.injected_drops));
-      }
-    }
-  }
-  return violations;
-}
-
-// ---- threads/tcp fuzz: seeded crash-churn on a real runtime ----
-
-// One seed, one kill/restart plan over the multi-threaded runtime (or the
-// same deployment over real TCP sockets with --runtime tcp), with durable
-// storage and checkpoint epochs always on: every event SIGKILL-crashes a
-// server mid-run (ThreadedRuntime::crash — halt in place, exactly the
-// post-kill state) and later restarts it over its surviving storage sink.
-// Storage is never wiped: a server that already built blocks and then
-// loses its durable state would re-use sequence numbers — amnesia, which
-// the crash-recovery model excludes (DESIGN.md §10; such a machine must
-// rejoin under a fresh identity). The checkers are the standard ones:
-// convergence to identical Lemma 3.7/4.2 digests, totality of every
-// instance, plus recovery sanity (restores succeed, every restarted
-// server completes a state sync).
-struct ChurnEvent {
-  ServerId victim = 0;
-  double crash_frac = 0.0;    // crash time as a fraction of the run
-  double restart_frac = 0.0;  // restart time, ditto (> crash_frac)
-};
-
-struct ThreadsScenario {
-  std::uint64_t seed = 0;
-  std::string protocol;
-  std::uint32_t n = 4;
-  std::uint32_t instances = 6;
-  std::uint64_t duration_ns = 0;
-  bool tcp = false;
-  std::uint64_t epoch_blocks = 4;
-  SigScheme sig = SigScheme::kIdeal;
-  // With a real scheme and n >= 4, the last server is not a protocol node
-  // but a raw-hosted forger (runtime/byzantine.h kForger) flooding
-  // invalidly-signed blocks at the honest majority; the checkers prove
-  // none is ever delivered and that rejections + verifier-pool cache hits
-  // actually show up in the runtime stats.
-  bool forger = false;
-  ServerId forger_id = 0;
-  std::optional<std::uint32_t> interpret_workers;
-  bool batch = true;
-  std::vector<ChurnEvent> events;
-};
-
-ThreadsScenario threads_scenario_for_seed(std::uint64_t seed,
-                                          const FuzzOptions& opt) {
-  static const char* kProtocols[] = {"brb", "bcb", "fifo", "pbft", "beacon"};
-  static const std::uint32_t kSizes[] = {3, 4, 5};
-  static const std::uint64_t kEpochs[] = {3, 4, 6, 8};
-  ThreadsScenario sc;
-  sc.seed = seed;
-  sc.protocol = opt.protocol == "mix" ? kProtocols[seed % 5] : opt.protocol;
-  sc.n = opt.n != 0 ? opt.n : kSizes[(seed / 5) % 3];
-  sc.instances = opt.instances;
-  sc.duration_ns = opt.duration_ns != 0
-                       ? opt.duration_ns
-                       : static_cast<std::uint64_t>(opt.duration_s * 1e9);
-  sc.tcp = opt.runtime == "tcp";
-  sc.sig = opt.sig;
-  sc.interpret_workers = opt.interpret_workers;  // never perturbs the plan
-  sc.batch = opt.batch;                          // ditto
-  // The forger needs a real scheme (under the ideal provider there is no
-  // verification cost worth attacking) and a cluster big enough to spare a
-  // server to the adversary.
-  sc.forger = opt.sig != SigScheme::kIdeal && sc.n >= 4;
-  sc.forger_id = static_cast<ServerId>(sc.n - 1);
-  // Honest servers: 0..n-2 with a forger, everyone without.
-  const std::uint32_t honest = sc.forger ? sc.n - 1 : sc.n;
-  Rng rng(seed ^ 0x5ca1ab1e0ddba11ULL);  // distinct from other derivations
-  sc.epoch_blocks = kEpochs[rng.below(4)];
-  // One or two churn events with distinct victims: at most a minority is
-  // ever down (crash faults, not partitions — the rest must keep going).
-  // Victims come from the honest range only — the forger never "crashes"
-  // (an adversary that stops attacking proves nothing).
-  const std::uint64_t max_events = honest >= 5 ? 2 : 1;
-  const std::size_t n_events = 1 + rng.below(max_events);
-  for (std::size_t k = 0; k < n_events; ++k) {
-    ChurnEvent ev;
-    ev.victim = static_cast<ServerId>(rng.below(honest));
-    if (k > 0 && ev.victim == sc.events[0].victim) {
-      ev.victim = (ev.victim + 1) % honest;
-    }
-    ev.crash_frac = 0.15 + 0.35 * rng.unit();          // mid-run
-    ev.restart_frac = ev.crash_frac + 0.15 + 0.25 * rng.unit();
-    sc.events.push_back(ev);
-  }
-  return sc;
-}
-
-std::string threads_repro_line(const ThreadsScenario& sc) {
-  char buf[256];
-  std::snprintf(buf, sizeof buf,
-                "simctl replay --runtime %s --seed %llu --protocol %s --n %u "
-                "--instances %u --duration-ns %llu",
-                sc.tcp ? "tcp" : "threads",
-                static_cast<unsigned long long>(sc.seed), sc.protocol.c_str(),
-                sc.n, sc.instances,
-                static_cast<unsigned long long>(sc.duration_ns));
-  std::string line = buf;
-  if (sc.sig != SigScheme::kIdeal) {
-    line += std::string(" --sig ") + sig_scheme_name(sc.sig);
-  }
-  if (sc.interpret_workers) {
-    line += " --interpret-workers " + std::to_string(*sc.interpret_workers);
-  }
-  if (!sc.batch) line += " --batch off";
-  return line;
-}
-
-void print_threads_plan(const ThreadsScenario& sc) {
-  std::printf("---- crash-churn plan ----\n");
-  std::printf("checkpoint every %llu blocks, backend=%s, sig=%s, batch=%s\n",
-              static_cast<unsigned long long>(sc.epoch_blocks),
-              sc.tcp ? "tcp" : "loopback", sig_scheme_name(sc.sig),
-              sc.batch ? "on" : "off");
-  if (sc.forger) {
-    std::printf("forger adversary at server %u (raw-hosted, rejected ring "
-                "capped at 64)\n",
-                sc.forger_id);
-  }
-  for (const ChurnEvent& ev : sc.events) {
-    std::printf("kill server %u at %2.0f%%, restart at %2.0f%%\n", ev.victim,
-                ev.crash_frac * 100, ev.restart_frac * 100);
-  }
-}
-
-std::vector<std::string> run_threads_scenario(const ThreadsScenario& sc) {
-  std::vector<std::string> violations;
-  const ProtocolFactory* factory = factory_for(sc.protocol);
-  if (!factory) return {"unknown protocol '" + sc.protocol + "'"};
-  const std::uint32_t honest = sc.forger ? sc.n - 1 : sc.n;
-
-  std::vector<blockdag::sync::MemStore> stores(sc.n);
-  // The forger's provider and behaviour object are declared before the
-  // runtime: its wire handler and posted ticks run on the raw server's
-  // thread until the runtime's destructor joins it, so both must outlive
-  // the runtime.
-  std::unique_ptr<SignatureProvider> forger_sigs;
-  std::unique_ptr<ByzantineServer> forger;
-  rt::ThreadedConfig cfg;
-  cfg.n_servers = sc.n;
-  cfg.seed = sc.seed;
-  cfg.sig_scheme = sc.sig;
-  cfg.batching = sc.batch;
-  cfg.pacing.interval = sim_ms(2);
-  cfg.gossip.fwd_retry_delay = sim_ms(5);
-  if (sc.forger) {
-    cfg.raw_servers = {sc.forger_id};
-    // Small rejected ring: the forger's re-floods (offsets 96.. from its
-    // newest forgery) then land on refs already evicted from it, which is
-    // exactly what makes verifier-pool verdict-cache hits assertable.
-    cfg.gossip.rejected_capacity = 64;
-  }
-  if (sc.tcp) cfg.backend = rt::TransportBackend::kTcp;  // ephemeral ports
-  cfg.storage = [&stores](ServerId s) { return &stores[s]; };
-  cfg.checkpoint.epoch_blocks = sc.epoch_blocks;
-  cfg.enable_state_sync = true;
-  cfg.sync.progress_timeout = sim_ms(50);
-  cfg.sync.retry_base = sim_ms(10);
-  if (sc.interpret_workers) {
-    cfg.interpret_workers = static_cast<std::size_t>(*sc.interpret_workers);
-  }
-  rt::ThreadedRuntime runtime(*factory, cfg);
-  if (!runtime.transport_ok()) return {"failed to bind sockets"};
-  if (sc.forger) {
-    forger_sigs = make_signature_provider(sc.sig, sc.n, sc.seed);
-    forger = make_byzantine(ByzantineKind::kForger, sc.forger_id,
-                            runtime.raw_timers(sc.forger_id),
-                            runtime.raw_transport(), *forger_sigs,
-                            sc.seed ^ (0x1000 + sc.forger_id));
-    ByzantineServer* raw = forger.get();
-    runtime.raw_transport().attach(
-        sc.forger_id,
-        [raw](ServerId from, const Bytes& wire) { raw->on_network(from, wire); });
-  }
-  runtime.start();
-
-  struct Timed {
-    std::chrono::steady_clock::time_point at;
-    std::size_t event;
-    bool is_crash;
-  };
-  const auto t0 = std::chrono::steady_clock::now();
-  const auto at_frac = [&](double f) {
-    return t0 + std::chrono::nanoseconds(
-                    static_cast<std::uint64_t>(f * sc.duration_ns));
-  };
-  std::vector<Timed> plan;
-  for (std::size_t k = 0; k < sc.events.size(); ++k) {
-    plan.push_back({at_frac(sc.events[k].crash_frac), k, true});
-    plan.push_back({at_frac(sc.events[k].restart_frac), k, false});
-  }
-  std::vector<bool> down(sc.n, false);
-  std::vector<bool> restarted(sc.n, false);
-
-  // Requests follow the sim scenario engine's discipline: issue only while
-  // EVERY server is live and no crash is imminent. A request is not
-  // durable — one sitting unblockified in a server that then crashes dies
-  // with it (clients retry in the real world), which is correct crash
-  // semantics but not what the totality checker quantifies over. The
-  // imminence guard leaves ample time to blockify (one 2ms pacing beat)
-  // before the victim goes down; once blockified, restart restores it.
-  // Requests go to honest servers only (a forger has no protocol stack).
-  const auto issue = [&](std::uint32_t i) {
-    if (sc.protocol == "beacon") {
-      const std::uint32_t needed = plausibility_quorum(sc.n);
-      for (std::uint32_t c = 0; c < needed && c < honest; ++c) {
-        runtime.request(c, 1 + i, beacon::make_contribute(0x1234 + i * 31 + c));
-      }
-    } else if (sc.protocol == "pbft") {
-      // Every server proposes the same value (the scenario engine's rule):
-      // whichever leader is up when the slot runs can lead it.
-      for (ServerId s = 0; s < honest; ++s) {
-        runtime.request(s, 1 + i, make_request(sc.protocol, i));
-      }
-    } else {
-      runtime.request(i % honest, 1 + i, make_request(sc.protocol, i));
-    }
-  };
-
-  std::uint32_t issued = 0;
-  const auto deadline = at_frac(1.0);
-  const auto safe_to_issue = [&](std::chrono::steady_clock::time_point now) {
-    for (ServerId s = 0; s < sc.n; ++s) {
-      if (down[s]) return false;
-    }
-    for (const Timed& t : plan) {
-      if (t.is_crash && t.at > now &&
-          t.at - now < std::chrono::milliseconds(300)) {
-        return false;
-      }
-    }
-    return true;
-  };
-  while (std::chrono::steady_clock::now() < deadline) {
-    const auto now = std::chrono::steady_clock::now();
-    for (Timed& t : plan) {
-      if (t.at > now) continue;
-      t.at = deadline + std::chrono::hours(1);  // fire once
-      const ChurnEvent& ev = sc.events[t.event];
-      if (t.is_crash) {
-        runtime.crash(ev.victim);
-        down[ev.victim] = true;
-      } else {
-        if (!runtime.restart(ev.victim)) {
-          violations.push_back("restore failed on restart of server " +
-                               std::to_string(ev.victim));
-        }
-        down[ev.victim] = false;
-        restarted[ev.victim] = true;
-      }
-    }
-    while (issued < sc.instances &&
-           now >= at_frac(0.8 * (issued + 1.0) / sc.instances) &&
-           safe_to_issue(now)) {
-      issue(issued++);
-    }
-    if (sc.forger) {
-      // The adversary's mischief beat, driven from the harness: λ forgeries
-      // plus re-floods per beat, executed on the forger's own thread.
-      ByzantineServer* raw = forger.get();
-      runtime.post(sc.forger_id, [raw] { raw->tick(); });
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  // Anything still down restarts now; every instance must be issued.
-  for (const ChurnEvent& ev : sc.events) {
-    if (!down[ev.victim]) continue;
-    if (!runtime.restart(ev.victim)) {
-      violations.push_back("restore failed on restart of server " +
-                           std::to_string(ev.victim));
-    }
-    down[ev.victim] = false;
-    restarted[ev.victim] = true;
-  }
-  while (issued < sc.instances) issue(issued++);
-
-  // Every restarted server must complete a state sync (it retries with
-  // backoff until it does; bound the wait in wall-clock).
-  const auto sync_deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  for (ServerId s = 0; s < sc.n; ++s) {
-    if (!restarted[s]) continue;
-    while (!runtime.sync_snapshot(s).sync_completed &&
-           std::chrono::steady_clock::now() < sync_deadline) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
-    const auto snap = runtime.sync_snapshot(s);
-    if (!snap.sync_completed) {
-      violations.push_back("server " + std::to_string(s) +
-                           " never completed state sync after restart");
-    }
-    if (snap.sync.completions == 0) {
-      violations.push_back("server " + std::to_string(s) +
-                           " reports zero sync completions after restart");
-    }
-  }
-
-  if (!runtime.quiesce_and_converge(/*max_rounds=*/256)) {
-    violations.push_back("cluster did not quiesce to a converged DAG");
-  }
-  const Bytes dag0 = runtime.dag_digest(0);
-  const Bytes interp0 = runtime.interpretation_digest(0);
-  for (ServerId s = 1; s < honest; ++s) {
-    if (runtime.dag_digest(s) != dag0) {
-      violations.push_back("DAG digest mismatch at server " + std::to_string(s));
-    }
-    if (runtime.interpretation_digest(s) != interp0) {
-      violations.push_back("interpretation digest mismatch at server " +
-                           std::to_string(s));
-    }
-  }
-  for (std::uint32_t i = 0; i < sc.instances; ++i) {
-    if (runtime.indicated_count(1 + i) != honest) {
-      violations.push_back("instance " + std::to_string(1 + i) +
-                           " not indicated everywhere");
-    }
-  }
-  // The epochs really happened: someone checkpointed, and a non-wiped
-  // restart actually restored durable state rather than replaying history.
-  std::uint64_t checkpoints = 0;
-  for (ServerId s = 0; s < honest; ++s) {
-    checkpoints += runtime.sync_snapshot(s).checkpointer.checkpoints_stored;
-  }
-  if (checkpoints == 0) {
-    violations.push_back("no checkpoint was ever stored (cadence no-op?)");
-  }
-
-  if (sc.forger) {
-    // Definition 3.3(i) on the real runtime: not one forged block was ever
-    // delivered, the rejections are visible in the stats, and the verifier
-    // pool's verdict cache absorbed the re-floods. The forged-ref list is
-    // read on the forger's own thread (post + future) — the same
-    // single-writer discipline as every other state read.
-    std::vector<Hash256> forged;
-    {
-      std::promise<std::vector<Hash256>> promise;
-      auto future = promise.get_future();
-      ByzantineServer* raw = forger.get();
-      if (runtime.post(sc.forger_id,
-                       [raw, &promise] { promise.set_value(raw->forged_refs()); })) {
-        forged = future.get();
-      } else {
-        forged = forger->forged_refs();  // runtime already shut down
-      }
-    }
-    if (forged.empty()) {
-      violations.push_back("forger never fired (adversary no-op?)");
-    }
-    for (ServerId s = 0; s < honest; ++s) {
-      const std::size_t delivered =
-          runtime.call(s, [&forged](Shim& shim) {
-            std::size_t count = 0;
-            for (const Hash256& ref : forged) {
-              if (shim.dag().contains(ref)) ++count;
-            }
-            return count;
-          });
-      if (delivered != 0) {
-        violations.push_back(std::to_string(delivered) +
-                             " forged block(s) delivered at server " +
-                             std::to_string(s));
-      }
-    }
-    if (runtime.total_blocks_rejected() == 0) {
-      violations.push_back("forger present but blocks_rejected == 0");
-    }
-    if (runtime.total_rejected_evicted() == 0) {
-      violations.push_back("rejected ring never evicted under forger flood");
-    }
-    const VerifierPoolStats vp = runtime.verifier_stats();
-    if (vp.cache_hits == 0) {
-      violations.push_back("verifier pool verdict cache never hit under "
-                           "re-flooded forgeries");
-    }
-  }
-  return violations;
-}
-
-bool parse_u64(const std::string& s, std::uint64_t& out) {
-  try {
-    std::size_t used = 0;
-    out = std::stoull(s, &used);
-    return used == s.size() && !s.empty();
-  } catch (...) {
-    return false;
-  }
-}
-
-bool parse_seed_range(const std::string& spec, FuzzOptions& opt) {
-  const auto dots = spec.find("..");
-  if (dots == std::string::npos) {
-    if (!parse_u64(spec, opt.first_seed)) return false;
-    opt.last_seed = opt.first_seed;
-  } else {
-    if (!parse_u64(spec.substr(0, dots), opt.first_seed) ||
-        !parse_u64(spec.substr(dots + 2), opt.last_seed)) {
-      return false;
-    }
-  }
-  return opt.first_seed <= opt.last_seed;
-}
-
-bool parse_u32(const char* s, std::uint32_t& out) {
-  try {
-    std::size_t used = 0;
-    const unsigned long v = std::stoul(s, &used);
-    if (used != std::strlen(s) || v > UINT32_MAX) return false;
-    out = static_cast<std::uint32_t>(v);
-    return true;
-  } catch (...) {
-    return false;
-  }
-}
-
-bool parse_duration(const char* s, double& out) {
-  try {
-    std::size_t used = 0;
-    const double v = std::stod(s, &used);
-    if (used != std::strlen(s) || !(v > 0.0) || v > 1e6) return false;
-    out = v;
-    return true;
-  } catch (...) {
-    return false;
-  }
-}
-
-bool parse_fuzz_args(int argc, char** argv, FuzzOptions& opt, bool replay) {
-  bool seen_seed = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    const char* v = nullptr;
-    if (arg == "--seeds" && !replay) {
-      if (!(v = next()) || !parse_seed_range(v, opt)) return false;
-      seen_seed = true;
-    } else if (arg == "--seed" && replay) {
-      if (!(v = next()) || !parse_seed_range(v, opt)) return false;
-      seen_seed = true;
-    } else if (arg == "--runtime") {
-      if (!(v = next())) return false;
-      opt.runtime = v;
-      if (opt.runtime != "sim" && opt.runtime != "udp" &&
-          opt.runtime != "threads" && opt.runtime != "tcp") {
-        return false;
-      }
-    } else if (arg == "--protocol") {
-      if (!(v = next())) return false;
-      opt.protocol = v;
-      if (opt.protocol != "mix" && !scenario_protocol_known(opt.protocol)) return false;
-    } else if (arg == "--n") {
-      if (!(v = next()) || !parse_u32(v, opt.n)) return false;
-    } else if (arg == "--instances") {
-      if (!(v = next()) || !parse_u32(v, opt.instances)) return false;
-    } else if (arg == "--duration") {
-      if (!(v = next()) || !parse_duration(v, opt.duration_s)) return false;
-    } else if (arg == "--duration-ns") {
-      if (!(v = next()) || !parse_u64(v, opt.duration_ns) || opt.duration_ns == 0) {
-        return false;
-      }
-    } else if (arg == "--sig") {
-      if (!(v = next())) return false;
-      const auto scheme = parse_sig_scheme(v);
-      if (!scheme) return false;
-      opt.sig = *scheme;
-    } else if (arg == "--interpret-workers") {
-      std::uint32_t u = 0;
-      if (!(v = next()) || !parse_u32(v, u)) return false;
-      opt.interpret_workers = u;
-    } else if (arg == "--batch") {
-      if (!(v = next())) return false;
-      const auto on = parse_on_off(v);
-      if (!on) return false;
-      opt.batch = *on;
-      opt.batch_set = true;
-    } else if (arg == "--repro-file" && !replay) {
-      if (!(v = next())) return false;
-      opt.repro_file = v;
-    } else if (arg == "--trace" && replay) {
-      if (!(v = next())) return false;
-      opt.trace_file = v;
-    } else {
-      return false;
-    }
-  }
-  return seen_seed;
-}
-
-int cmd_fuzz(int argc, char** argv) {
-  FuzzOptions opt;
-  if (!parse_fuzz_args(argc, argv, opt, /*replay=*/false)) {
-    std::fprintf(stderr,
-                 "usage: simctl fuzz --seeds A..B [--runtime sim|udp|threads|tcp]\n"
-                 "                   [--protocol brb|bcb|fifo|pbft|beacon|mix]\n"
-                 "                   [--n N] [--instances K] [--duration S |"
-                 " --duration-ns NS]\n"
-                 "                   [--sig ideal|hmac|wots] [--repro-file FILE]\n"
-                 "                   [--interpret-workers N] [--batch on|off]\n"
-                 "(--sig hmac|wots also arms the forger adversary: sim adds\n"
-                 " kForger to the byzantine pool; threads/tcp host a raw forger\n"
-                 " flooding invalidly-signed blocks at the cluster)\n");
-    return 2;
-  }
-  if (opt.interpret_workers && opt.runtime == "sim") {
-    std::fprintf(stderr,
-                 "--interpret-workers needs a real-runtime slice "
-                 "(--runtime threads|tcp|udp)\n");
-    return 2;
-  }
-  if (opt.batch_set && opt.runtime == "sim") {
-    std::fprintf(stderr,
-                 "--batch needs a real-runtime slice (--runtime "
-                 "threads|tcp|udp); the simulator is serial by design\n");
-    return 2;
-  }
+int cmd_fuzz(const Options& opt) {
   std::size_t passed = 0, failed = 0;
-  for (std::uint64_t seed = opt.first_seed; seed <= opt.last_seed; ++seed) {
-    std::string first_violation;
-    std::string repro;
-    std::string protocol;
-    std::uint32_t n = 0;
-    if (opt.runtime == "udp") {
-      const UdpScenario sc = udp_scenario_for_seed(seed, opt);
-      const std::vector<std::string> violations = run_udp_scenario(sc);
-      if (violations.empty()) {
-        ++passed;
-        continue;
-      }
-      first_violation = violations.front();
-      repro = udp_repro_line(sc);
-      protocol = sc.protocol;
-      n = sc.n;
-    } else if (opt.runtime == "threads" || opt.runtime == "tcp") {
-      const ThreadsScenario sc = threads_scenario_for_seed(seed, opt);
-      const std::vector<std::string> violations = run_threads_scenario(sc);
-      if (violations.empty()) {
-        ++passed;
-        continue;
-      }
-      first_violation = violations.front();
-      repro = threads_repro_line(sc);
-      protocol = sc.protocol;
-      n = sc.n;
+  for (std::uint64_t seed = opt.run.seed;; ++seed) {
+    const FuzzPlan plan = FuzzPlan::derive(opt.run.backend, seed, opt.run);
+    const ScenarioResult result = plan.run();
+    if (result.ok()) {
+      ++passed;
     } else {
-      const ScenarioConfig cfg = scenario_for_seed(seed, opt);
-      const ScenarioResult result = run_scenario(cfg);
-      if (result.ok()) {
-        ++passed;
-        continue;
+      ++failed;
+      const std::string repro = plan.repro_line();
+      std::printf("FAIL seed=%llu protocol=%s n=%u: %s\n",
+                  static_cast<unsigned long long>(seed),
+                  plan.header.protocol.c_str(), plan.header.n,
+                  result.violations.front().c_str());
+      std::printf("  repro: %s\n", repro.c_str());
+      if (!opt.repro_file.empty()) {
+        std::ofstream out(opt.repro_file, std::ios::app);
+        out << repro << "\n";
       }
-      first_violation = result.violations.front();
-      repro = repro_line(cfg);
-      protocol = cfg.protocol;
-      n = cfg.n_servers;
     }
-    ++failed;
-    std::printf("FAIL seed=%llu protocol=%s n=%u: %s\n",
-                static_cast<unsigned long long>(seed), protocol.c_str(), n,
-                first_violation.c_str());
-    std::printf("  repro: %s\n", repro.c_str());
-    if (!opt.repro_file.empty()) {
-      std::ofstream out(opt.repro_file, std::ios::app);
-      out << repro << "\n";
-    }
+    if (seed == opt.last_seed) break;  // also ends a range up to UINT64_MAX
   }
   std::printf("fuzz: %zu/%zu seeds passed (%llu..%llu)\n", passed,
-              passed + failed, static_cast<unsigned long long>(opt.first_seed),
+              passed + failed, static_cast<unsigned long long>(opt.run.seed),
               static_cast<unsigned long long>(opt.last_seed));
   return failed == 0 ? 0 : 1;
 }
 
-int cmd_replay(int argc, char** argv) {
-  FuzzOptions opt;
-  if (!parse_fuzz_args(argc, argv, opt, /*replay=*/true)) {
-    std::fprintf(stderr,
-                 "usage: simctl replay --seed S [--runtime sim|udp|threads|tcp]\n"
-                 "                     [--protocol brb|bcb|fifo|pbft|"
-                 "beacon|mix]\n"
-                 "                     [--n N] [--instances K] [--duration S |"
-                 " --duration-ns NS]\n"
-                 "                     [--sig ideal|hmac|wots] [--trace FILE]\n"
-                 "                     [--interpret-workers N] [--batch on|off]\n");
-    return 2;
-  }
-  if (opt.interpret_workers && opt.runtime == "sim") {
-    std::fprintf(stderr,
-                 "--interpret-workers needs a real-runtime slice "
-                 "(--runtime threads|tcp|udp)\n");
-    return 2;
-  }
-  if (opt.batch_set && opt.runtime == "sim") {
-    std::fprintf(stderr,
-                 "--batch needs a real-runtime slice (--runtime "
-                 "threads|tcp|udp); the simulator is serial by design\n");
-    return 2;
-  }
-  if (opt.runtime == "threads" || opt.runtime == "tcp") {
-    if (!opt.trace_file.empty()) {
-      std::fprintf(stderr, "--trace is simulator-only (real runtimes have "
-                           "no virtual-time event log)\n");
-      return 2;
-    }
-    const ThreadsScenario sc = threads_scenario_for_seed(opt.first_seed, opt);
-    std::printf(
-        "scenario seed=%llu runtime=%s protocol=%s n=%u instances=%u "
-        "duration=%.3fs\n",
-        static_cast<unsigned long long>(sc.seed), sc.tcp ? "tcp" : "threads",
-        sc.protocol.c_str(), sc.n, sc.instances,
-        static_cast<double>(sc.duration_ns) / 1e9);
-    print_threads_plan(sc);
-    const std::vector<std::string> violations = run_threads_scenario(sc);
-    std::printf("---- result ----\n");
-    for (const std::string& violation : violations) {
-      std::printf("VIOLATION: %s\n", violation.c_str());
-    }
-    if (violations.empty()) std::printf("OK — no violations\n");
-    return violations.empty() ? 0 : 1;
-  }
-  if (opt.runtime == "udp") {
-    if (!opt.trace_file.empty()) {
-      std::fprintf(stderr, "--trace is simulator-only (the UDP runtime has "
-                           "no virtual-time event log)\n");
-      return 2;
-    }
-    const UdpScenario sc = udp_scenario_for_seed(opt.first_seed, opt);
-    std::printf(
-        "scenario seed=%llu runtime=udp protocol=%s n=%u instances=%u "
-        "duration=%.3fs\n",
-        static_cast<unsigned long long>(sc.seed), sc.protocol.c_str(), sc.n,
-        sc.instances, static_cast<double>(sc.duration_ns) / 1e9);
-    print_udp_plan(sc);
-    const std::vector<std::string> violations = run_udp_scenario(sc);
-    std::printf("---- result ----\n");
-    for (const std::string& violation : violations) {
-      std::printf("VIOLATION: %s\n", violation.c_str());
-    }
-    if (violations.empty()) std::printf("OK — no violations\n");
-    return violations.empty() ? 0 : 1;
-  }
-  const ScenarioConfig cfg = scenario_for_seed(opt.first_seed, opt);
-  const FaultPlan plan = derive_fault_plan(cfg);
-  std::printf("scenario seed=%llu protocol=%s n=%u instances=%u duration=%.3fs\n",
-              static_cast<unsigned long long>(cfg.seed), cfg.protocol.c_str(),
-              cfg.n_servers, cfg.instances,
-              static_cast<double>(effective_duration(cfg)) / 1e9);
-  std::printf("---- fault plan ----\n%s", plan.summary().c_str());
-
-  const ScenarioResult result = run_scenario(cfg);
+int cmd_replay(const Options& opt) {
+  const FuzzPlan plan = FuzzPlan::derive(opt.run.backend, opt.run.seed, opt.run);
+  std::printf("%s", plan.summary().c_str());
+  const ScenarioResult result = plan.run();
   std::printf("---- result ----\n");
-  std::printf("blocks=%zu deliveries=%zu labels_complete=%zu converged=%s\n",
-              result.blocks, result.deliveries, result.labels_complete,
-              result.converged ? "yes" : "no");
+  if (plan.header.backend == Backend::kSim) {
+    std::printf("blocks=%zu deliveries=%zu labels_complete=%zu converged=%s\n",
+                result.blocks, result.deliveries, result.labels_complete,
+                result.converged ? "yes" : "no");
+  }
   for (const std::string& violation : result.violations) {
     std::printf("VIOLATION: %s\n", violation.c_str());
   }
   if (result.ok()) std::printf("OK — no violations\n");
   if (!opt.trace_file.empty()) {
     std::ofstream out(opt.trace_file);
-    out << scenario_trace_json(cfg, plan, result);
+    out << scenario_trace_json(plan.scenario(), std::get<FaultPlan>(plan.faults),
+                               result);
     std::printf("trace written to %s\n", opt.trace_file.c_str());
   }
   return result.ok() ? 0 : 1;
@@ -2008,35 +997,26 @@ int cmd_replay(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc > 1 && std::strcmp(argv[1], "fuzz") == 0) {
-    return cmd_fuzz(argc - 1, argv + 1);
+  Command command = kRun;
+  int first = 1;
+  for (unsigned bit = 0; bit < std::size(kCommandNames); ++bit) {
+    if (argc > 1 && std::strcmp(argv[1], kCommandNames[bit]) == 0) {
+      command = static_cast<Command>(1u << bit);
+      first = 2;
+    }
   }
-  if (argc > 1 && std::strcmp(argv[1], "replay") == 0) {
-    return cmd_replay(argc - 1, argv + 1);
-  }
-  if (argc > 1 && std::strcmp(argv[1], "serve") == 0) {
-    return cmd_member(argc - 1, argv + 1, /*join=*/false);
-  }
-  if (argc > 1 && std::strcmp(argv[1], "join") == 0) {
-    return cmd_member(argc - 1, argv + 1, /*join=*/true);
-  }
-  const bool explicit_run = argc > 1 && std::strcmp(argv[1], "run") == 0;
-  Options opt;
-  if (!parse_args(explicit_run ? argc - 1 : argc,
-                  explicit_run ? argv + 1 : argv, opt)) {
-    std::fprintf(stderr,
-                 "usage: simctl [run] [--runtime sim|threads|tcp|udp] [--n N]\n"
-                 "              [--protocol brb|bcb|fifo|pbft|beacon]\n"
-                 "              [--seconds S] [--instances K] [--interval MS]\n"
-                 "              [--seed X] [--drop P] [--byzantine ID:KIND ...]\n"
-                 "              [--sig ideal|hmac|wots] [--dot FILE]\n"
-                 "              [--interpret-workers N] [--batch on|off]  "
-                 "(real runtimes only)\n"
-                 "       simctl serve --n N --port PORT [options]\n"
-                 "       simctl join --id I --n N --port PORT [options]\n"
-                 "       simctl fuzz --seeds A..B [options]\n"
-                 "       simctl replay --seed S [options]\n");
+  Options opt = defaults_for(command);
+  if (!parse_args(argc - first, argv + first, opt)) {
+    print_usage(command == kRun ? kAny : (command & kMember) ? kMember : command);
     return 2;
   }
-  return run(opt);
+  if (!backend_supports(opt)) return 2;
+  switch (command) {
+    case kRun: return run(opt);
+    case kServe:
+    case kJoin: return run_member(opt);
+    case kFuzz: return cmd_fuzz(opt);
+    case kReplay: return cmd_replay(opt);
+  }
+  return 2;
 }
