@@ -67,10 +67,7 @@ bool Interpreter::interpret_one(const Hash256& ref) {
 }
 
 BlockInterpretation Interpreter::inherit(BlockIdx idx) const {
-  const Block& block = *dag_.block_at(idx);
-  const std::vector<BlockIdx>& preds = dag_.preds_of(idx);  // deduplicated
   BlockInterpretation st;
-
   // Line 4: copy the parent's process-instance states. Copying the chunked
   // map copies chunk handles only; instances clone when they process an
   // event, and the commit rebuilds only the chunks holding those labels.
@@ -78,53 +75,6 @@ BlockInterpretation Interpreter::inherit(BlockIdx idx) const {
   if (parent != kNoBlockIdx && dag_.alive(parent)) {
     assert(interpreted_at(parent));
     st.pis = states_[parent].pis;
-  }
-
-  // Active labels flow down from *all* predecessors (the line 7 set ranges
-  // over requests anywhere in B's strict ancestry) plus this block's own
-  // inscriptions. The set only grows, so when no pred contributes a label
-  // outside the largest pred set and neither do the inscriptions, this
-  // block shares that set's storage instead of building its own.
-  std::vector<Label> own_labels;
-  own_labels.reserve(block.rs().size());
-  for (const LabeledRequest& lr : block.rs()) own_labels.push_back(lr.label);
-  std::sort(own_labels.begin(), own_labels.end());
-  own_labels.erase(std::unique(own_labels.begin(), own_labels.end()),
-                   own_labels.end());
-
-  const ActiveLabelSet* base = nullptr;
-  for (BlockIdx p : preds) {
-    if (!interpreted_at(p)) continue;  // pruned-away ancestor
-    const ActiveLabelSet& s = states_[p].active_labels;
-    if (!s.empty() && (!base || s.size() > base->size())) base = &s;
-  }
-  if (base != nullptr) {
-    bool can_share =
-        std::includes(base->begin(), base->end(), own_labels.begin(), own_labels.end());
-    for (BlockIdx p : preds) {
-      if (!can_share) break;
-      if (!interpreted_at(p)) continue;
-      const ActiveLabelSet& s = states_[p].active_labels;
-      if (s.empty() || s.handle() == base->handle()) continue;
-      can_share = std::includes(base->begin(), base->end(), s.begin(), s.end());
-    }
-    if (can_share) {
-      st.active_labels = *base;
-    } else {
-      std::vector<Label> merged = own_labels;
-      for (BlockIdx p : preds) {
-        if (!interpreted_at(p)) continue;
-        const ActiveLabelSet& s = states_[p].active_labels;
-        merged.insert(merged.end(), s.begin(), s.end());
-      }
-      std::sort(merged.begin(), merged.end());
-      merged.erase(std::unique(merged.begin(), merged.end()), merged.end());
-      st.active_labels = ActiveLabelSet(
-          std::make_shared<const std::vector<Label>>(std::move(merged)));
-    }
-  } else if (!own_labels.empty()) {
-    st.active_labels = ActiveLabelSet(
-        std::make_shared<const std::vector<Label>>(std::move(own_labels)));
   }
   return st;
 }
@@ -177,9 +127,11 @@ void Interpreter::interpret_block(BlockIdx idx) {
   }
 
   // Lines 7–9: collect in-messages addressed to B.n from the out-buffers
-  // of direct predecessors. Ms[in, ℓ] has set semantics (∪), realized by
-  // sorting each flat per-label buffer in <M order and dropping duplicates
-  // — which also provides the line 10 iteration order.
+  // of direct predecessors. Every label with out-messages was requested in
+  // B's ancestry (Lemma A.12), so this walk covers exactly line 7's labels.
+  // Ms[in, ℓ] has set semantics (∪), realized by sorting each flat
+  // per-label buffer in <M order and dropping duplicates — which also
+  // provides the line 10 iteration order.
   FlatMap<Label, std::vector<Message>> inbox;
   for (BlockIdx p : preds) {
     if (!interpreted_at(p)) continue;  // pruned-away ancestor
@@ -226,7 +178,6 @@ void Interpreter::interpret_block(BlockIdx idx) {
 
 bool Interpreter::restore_block(
     const Hash256& ref, Bytes cached_digest,
-    ActiveLabelSet::Handle active_labels,
     FlatMap<Label, std::vector<Message>> ms_out,
     const std::vector<std::pair<Label, Bytes>>& pis_serialized) {
   // Checkpoint restore happens only at batch quiescence: the engine's run()
@@ -250,7 +201,6 @@ bool Interpreter::restore_block(
   }
   st.pis.apply(std::move(pis));
   st.ms_out = std::move(ms_out);
-  st.active_labels = ActiveLabelSet(std::move(active_labels));
   st.cached_digest = std::move(cached_digest);
   st.interpreted = true;
   states_[idx] = std::move(st);

@@ -11,10 +11,13 @@
 //     instances themselves clone on their first event in B;
 //   2. feeds every request (ℓ, r) ∈ B.rs to B.n's simulated instance of ℓ
 //     (lines 5–6), collecting triggered messages into B.Ms[out, ℓ];
-//   3. for every label active in B's ancestry, gathers in-messages
-//     addressed to B.n from the out-buffers of B's *direct* predecessors
-//     (lines 7–9) and feeds them in the fixed order <M (lines 10–11),
-//     collecting newly triggered messages into B.Ms[out, ℓ];
+//   3. gathers in-messages addressed to B.n from the out-buffers of B's
+//     *direct* predecessors (lines 7–9) and feeds them in the fixed order
+//     <M (lines 10–11), collecting newly triggered messages into
+//     B.Ms[out, ℓ]. Line 7 ranges over the labels requested in B's
+//     ancestry; only those labels ever have out-messages (Lemma A.12), so
+//     the preds' out-buffers already name exactly that range and no
+//     per-block label set is kept;
 //   4. raises every indication of the simulated instances as
 //     (ℓ, i, B.n) (lines 13–14).
 //
@@ -47,41 +50,6 @@
 
 namespace blockdag {
 
-// Sorted, immutable, structurally-shared label set. The line-7 active-label
-// set only ever grows down the DAG, and most blocks introduce no new label,
-// so child blocks share the parent generation's vector copy-on-write
-// instead of re-unioning per block.
-class ActiveLabelSet {
- public:
-  using Handle = std::shared_ptr<const std::vector<Label>>;
-
-  ActiveLabelSet() = default;
-  // `labels` must be sorted and duplicate-free.
-  explicit ActiveLabelSet(Handle labels) : labels_(std::move(labels)) {}
-
-  bool contains(Label l) const {
-    return labels_ && std::binary_search(labels_->begin(), labels_->end(), l);
-  }
-  std::size_t count(Label l) const { return contains(l) ? 1 : 0; }
-  bool empty() const { return !labels_ || labels_->empty(); }
-  std::size_t size() const { return labels_ ? labels_->size() : 0; }
-
-  std::vector<Label>::const_iterator begin() const { return values().begin(); }
-  std::vector<Label>::const_iterator end() const { return values().end(); }
-
-  // Identity of the underlying storage — equal handles ⇒ equal sets, used
-  // for the copy-on-write sharing fast path.
-  const Handle& handle() const { return labels_; }
-
- private:
-  const std::vector<Label>& values() const {
-    static const std::vector<Label> kEmpty;
-    return labels_ ? *labels_ : kEmpty;
-  }
-
-  Handle labels_;
-};
-
 // Interpretation state attached to a block (the paper's B.PIs / B.Ms /
 // I[B]). Exposed read-only so tests can check Figure 4 buffer contents.
 struct BlockInterpretation {
@@ -95,10 +63,6 @@ struct BlockInterpretation {
   // B.Ms[in, ℓ] / B.Ms[out, ℓ].
   FlatMap<Label, std::vector<Message>> ms_in;
   FlatMap<Label, std::vector<Message>> ms_out;
-
-  // Labels with a request at some ancestor (incl. B itself): the set that
-  // line 7 quantifies over. Shared copy-on-write down the DAG.
-  ActiveLabelSet active_labels;
 
   // Checkpoint-restored blocks carry the digest_of() output computed when
   // the block was first interpreted instead of re-derivable state (ms_in is
@@ -174,7 +138,6 @@ class Interpreter {
   // live, already interpreted, its labels are not strictly ascending, or an
   // instance fails to deserialize.
   bool restore_block(const Hash256& ref, Bytes cached_digest,
-                     ActiveLabelSet::Handle active_labels,
                      FlatMap<Label, std::vector<Message>> ms_out,
                      const std::vector<std::pair<Label, Bytes>>& pis_serialized);
 
@@ -199,9 +162,8 @@ class Interpreter {
   }
   bool eligible_at(BlockIdx idx) const;
   // The state B starts from before any event is fed: line 4's copy of the
-  // parent's PIs plus the line-7 active-label set of B's ancestry. Shared
-  // by the serial pass and the parallel engine's merge, whose preds are
-  // always committed by the time it runs.
+  // parent's PIs. Shared by the serial pass and the parallel engine's
+  // merge, whose parent is always committed by the time it runs.
   BlockInterpretation inherit(BlockIdx idx) const;
   void interpret_block(BlockIdx idx);
   // Grows states_ to cover every DAG slot (call before index-based access).

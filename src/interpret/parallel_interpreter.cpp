@@ -265,9 +265,9 @@ std::size_t ParallelInterpreter::merge(Batch& b) const {
     const BlockIdx idx = b.blocks[bi];
     const Block& block = *dag.block_at(idx);
     const ServerId owner = block.n();
-    // Line 4 + the active-label set: exactly the serial start state —
-    // every pred is merged by now (lower dense index), so the copy-on-write
-    // sharing paths see exactly the handles the serial pass would.
+    // Line 4: exactly the serial start state — the parent is merged by now
+    // (lower dense index), so the copy-on-write PIs share exactly the
+    // chunks the serial pass would.
     BlockInterpretation st = interp.inherit(idx);
 
     // Gather this block's cells across shards, sorted by label. Shards own

@@ -17,12 +17,12 @@
 //
 // The merge then reassembles each BlockInterpretation on the *calling*
 // thread, in dense-BlockIdx order: each block starts from the serial
-// pass's own Interpreter::inherit() — line 4's parent PIs handles and the
-// active-label set (the parent and preds are always merged first — dense
-// order respects topological order) — shard cells commit into B.PIs as one
-// batch in sorted label order, and indications fire in the serial order —
-// request-phase indications sorted by their rs-inscription index, then
-// message-phase indications in sorted label order. digest_of() is therefore byte-identical to the serial
+// pass's own Interpreter::inherit() — line 4's parent PIs handles (the
+// parent is always merged first — dense order respects topological order)
+// — shard cells commit into B.PIs as one batch in sorted label order, and
+// indications fire in the serial order — request-phase indications sorted
+// by their rs-inscription index, then message-phase indications in sorted
+// label order. digest_of() is therefore byte-identical to the serial
 // interpreter (Lemma 4.2; lemma42_regression_test and
 // tests/interpret/parallel_interpreter_test are the oracles).
 //

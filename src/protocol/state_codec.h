@@ -2,11 +2,13 @@
 //
 // Process::serialize() / ProtocolFactory::deserialize() (checkpointing,
 // src/sync) round-trip the containers the shipped protocols keep their
-// state in: std::map / std::set over small value types, plus scalars,
-// Bytes and std::optional<Bytes>. Encoding is the repository-wide
-// canonical form (util/serialize.h: little-endian fixed-width, u32 length
-// prefixes); std::map / std::set iterate in key order, so one value has
-// exactly one encoding.
+// state in: std::map / std::set over small value types, vote tallies
+// (protocol/vote_tally.h), plus scalars, Bytes and std::optional<Bytes>.
+// Encoding is the repository-wide canonical form (util/serialize.h:
+// little-endian fixed-width, u32 length prefixes); every container
+// iterates in key order, so one value has exactly one encoding. A
+// VoteTally encodes exactly like the std::map<Bytes, std::set<ServerId>>
+// it replaced, and decodes the same inputs.
 //
 // Decoding is hardened the same way as the wire decoders: every element
 // count is bounded by the bytes actually remaining BEFORE any allocation,
@@ -19,6 +21,8 @@
 #include <set>
 #include <utility>
 
+#include "protocol/vote_tally.h"
+#include "util/flat_map.h"
 #include "util/serialize.h"
 #include "util/types.h"
 
@@ -46,6 +50,20 @@ template <typename T>
 void put(Writer& w, const std::set<T>& v) {
   w.u32(static_cast<std::uint32_t>(v.size()));
   for (const T& e : v) put(w, e);
+}
+
+inline void put(Writer& w, const SenderSet& v) {
+  w.u32(static_cast<std::uint32_t>(v.size()));
+  for (ServerId s : v) w.u32(s);
+}
+
+template <typename K, typename V>
+void put(Writer& w, const FlatMap<K, V>& v) {
+  w.u32(static_cast<std::uint32_t>(v.size()));
+  for (const auto& [key, value] : v) {
+    put(w, key);
+    put(w, value);
+  }
 }
 
 template <typename K, typename V>
@@ -114,6 +132,33 @@ bool get(Reader& r, std::set<T>& v) {
     T e{};
     if (!get(r, e)) return false;
     if (!v.insert(std::move(e)).second) return false;  // canonical: no dups
+  }
+  return true;
+}
+
+// Like std::set<ServerId>: senders in any order, duplicates rejected.
+inline bool get(Reader& r, SenderSet& v) {
+  const auto count = r.u32();
+  if (!count || *count > r.remaining()) return false;
+  v = SenderSet{};
+  for (std::uint32_t i = 0; i < *count; ++i) {
+    const auto s = r.u32();
+    if (!s || !v.insert(*s)) return false;
+  }
+  return true;
+}
+
+// Like std::map: keys in any order, duplicates rejected.
+template <typename K, typename V>
+bool get(Reader& r, FlatMap<K, V>& v) {
+  const auto count = r.u32();
+  if (!count || *count > r.remaining()) return false;
+  v.clear();
+  for (std::uint32_t i = 0; i < *count; ++i) {
+    K key{};
+    V value{};
+    if (!get(r, key) || !get(r, value)) return false;
+    if (!v.emplace(key, std::move(value)).second) return false;
   }
   return true;
 }

@@ -82,8 +82,9 @@ StepResult BcbProcess::on_message(const Message& message) {
     echoed_ = true;  // echo at most once, whatever the broadcaster does
     result.append(send_to_all(kMsgEcho, parsed->value));
   } else if (parsed->type == kMsgEcho) {
-    echos_[parsed->value].insert(message.sender);
-    if (!delivered_ && echos_[parsed->value].size() >= byzantine_quorum(n_)) {
+    SenderSet& senders = echos_[parsed->value];
+    senders.insert(message.sender);
+    if (!delivered_ && senders.size() >= byzantine_quorum(n_)) {
       delivered_ = true;
       result.indications.push_back(make_deliver(parsed->value));
     }
@@ -96,12 +97,7 @@ Bytes BcbProcess::state_digest() const {
   w.u8(sent_);
   w.u8(echoed_);
   w.u8(delivered_);
-  w.u32(static_cast<std::uint32_t>(echos_.size()));
-  for (const auto& [value, senders] : echos_) {
-    w.bytes(value);
-    w.u32(static_cast<std::uint32_t>(senders.size()));
-    for (ServerId s : senders) w.u32(s);
-  }
+  state_codec::put(w, echos_);
   const auto d = Sha256::digest(w.data());
   return Bytes(d.begin(), d.end());
 }

@@ -17,11 +17,10 @@
 // two 2f+1 quorums, which yields consistency.
 #pragma once
 
-#include <map>
 #include <optional>
-#include <set>
 
 #include "protocol/protocol.h"
+#include "protocol/vote_tally.h"
 
 namespace blockdag::bcb {
 
@@ -53,7 +52,7 @@ class BcbProcess final : public Process {
   bool sent_ = false;
   bool echoed_ = false;
   bool delivered_ = false;
-  std::map<Bytes, std::set<ServerId>> echos_;
+  VoteTally echos_;
 };
 
 class BcbFactory final : public ProtocolFactory {

@@ -125,20 +125,13 @@ StepResult BrbProcess::on_message(const Message& message) {
 }
 
 Bytes BrbProcess::state_digest() const {
+  using state_codec::put;
   Writer w;
   w.u8(echoed_);
   w.u8(readied_);
   w.u8(delivered_);
-  const auto put = [&w](const std::map<Bytes, std::set<ServerId>>& m) {
-    w.u32(static_cast<std::uint32_t>(m.size()));
-    for (const auto& [value, senders] : m) {
-      w.bytes(value);
-      w.u32(static_cast<std::uint32_t>(senders.size()));
-      for (ServerId s : senders) w.u32(s);
-    }
-  };
-  put(echos_);
-  put(readies_);
+  put(w, echos_);
+  put(w, readies_);
   const auto d = Sha256::digest(w.data());
   return Bytes(d.begin(), d.end());
 }

@@ -16,11 +16,10 @@
 //                       server eventually delivers.
 #pragma once
 
-#include <map>
 #include <optional>
-#include <set>
 
 #include "protocol/protocol.h"
+#include "protocol/vote_tally.h"
 
 namespace blockdag::brb {
 
@@ -77,8 +76,8 @@ class BrbProcess final : public Process {
   bool delivered_ = false;
   // Senders of ECHO v / READY v per value v (byzantine servers may echo
   // several values; quorums are counted per value).
-  std::map<Bytes, std::set<ServerId>> echos_;
-  std::map<Bytes, std::set<ServerId>> readies_;
+  VoteTally echos_;
+  VoteTally readies_;
 };
 
 class BrbFactory final : public ProtocolFactory {

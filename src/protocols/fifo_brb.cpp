@@ -189,16 +189,8 @@ Bytes FifoBrbProcess::state_digest() const {
     w.u8(slot.echoed);
     w.u8(slot.readied);
     w.u8(slot.delivered);
-    const auto put = [&w](const std::map<Bytes, std::set<ServerId>>& m) {
-      w.u32(static_cast<std::uint32_t>(m.size()));
-      for (const auto& [value, senders] : m) {
-        w.bytes(value);
-        w.u32(static_cast<std::uint32_t>(senders.size()));
-        for (ServerId s : senders) w.u32(s);
-      }
-    };
-    put(slot.echos);
-    put(slot.readies);
+    state_codec::put(w, slot.echos);
+    state_codec::put(w, slot.readies);
   }
   w.u32(static_cast<std::uint32_t>(next_deliver_seq_.size()));
   for (const auto& [origin, next] : next_deliver_seq_) {

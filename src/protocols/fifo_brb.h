@@ -16,9 +16,9 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 
 #include "protocol/protocol.h"
+#include "protocol/vote_tally.h"
 
 namespace blockdag::fifo {
 
@@ -52,8 +52,8 @@ class FifoBrbProcess final : public Process {
     bool echoed = false;
     bool readied = false;
     bool delivered = false;  // slot-level BRB delivery (pre-FIFO)
-    std::map<Bytes, std::set<ServerId>> echos;
-    std::map<Bytes, std::set<ServerId>> readies;
+    VoteTally echos;
+    VoteTally readies;
   };
   using SlotKey = std::pair<ServerId, std::uint64_t>;
   // A slot handle, shared with clones until one side writes the slot.

@@ -225,50 +225,24 @@ StepResult PbftProcess::on_message(const Message& message) {
 }
 
 Bytes PbftProcess::state_digest() const {
+  using state_codec::put;
   Writer w;
   w.u64(view_);
   w.u8(decided_);
-  w.u8(my_proposal_.has_value());
-  if (my_proposal_) w.bytes(*my_proposal_);
+  put(w, my_proposal_);
   w.u8(locked_value_.has_value());
   if (locked_value_) {
     w.bytes(*locked_value_);
     w.u64(lock_view_);
   }
-  const auto put_views = [&w](const std::set<std::uint64_t>& views) {
-    w.u32(static_cast<std::uint32_t>(views.size()));
-    for (auto v : views) w.u64(v);
-  };
-  put_views(preprepared_views_);
-  put_views(prepared_views_);
-  put_views(committed_views_);
-  put_views(complained_views_);
-  const auto put_tally =
-      [&w](const std::map<std::uint64_t, std::map<Bytes, std::set<ServerId>>>& t) {
-        w.u32(static_cast<std::uint32_t>(t.size()));
-        for (const auto& [view, values] : t) {
-          w.u64(view);
-          w.u32(static_cast<std::uint32_t>(values.size()));
-          for (const auto& [value, senders] : values) {
-            w.bytes(value);
-            w.u32(static_cast<std::uint32_t>(senders.size()));
-            for (ServerId s : senders) w.u32(s);
-          }
-        }
-      };
-  put_tally(prepares_);
-  put_tally(commits_);
-  w.u32(static_cast<std::uint32_t>(complaints_.size()));
-  for (const auto& [view, senders] : complaints_) {
-    w.u64(view);
-    w.u32(static_cast<std::uint32_t>(senders.size()));
-    for (ServerId s : senders) w.u32(s);
-  }
-  w.u32(static_cast<std::uint32_t>(buffered_preprepares_.size()));
-  for (const auto& [view, value] : buffered_preprepares_) {
-    w.u64(view);
-    w.bytes(value);
-  }
+  put(w, preprepared_views_);
+  put(w, prepared_views_);
+  put(w, committed_views_);
+  put(w, complained_views_);
+  put(w, prepares_);
+  put(w, commits_);
+  put(w, complaints_);
+  put(w, buffered_preprepares_);
   const auto d = Sha256::digest(w.data());
   return Bytes(d.begin(), d.end());
 }

@@ -31,6 +31,7 @@
 #include <set>
 
 #include "protocol/protocol.h"
+#include "protocol/vote_tally.h"
 
 namespace blockdag::pbft {
 
@@ -88,9 +89,9 @@ class PbftProcess final : public Process {
   std::set<std::uint64_t> committed_views_;    // views where we sent COMMIT
   std::set<std::uint64_t> complained_views_;   // views where we sent COMPLAIN
 
-  std::map<std::uint64_t, std::map<Bytes, std::set<ServerId>>> prepares_;
-  std::map<std::uint64_t, std::map<Bytes, std::set<ServerId>>> commits_;
-  std::map<std::uint64_t, std::set<ServerId>> complaints_;
+  std::map<std::uint64_t, VoteTally> prepares_;
+  std::map<std::uint64_t, VoteTally> commits_;
+  std::map<std::uint64_t, SenderSet> complaints_;
   // PREPREPAREs received for views we have not yet entered.
   std::map<std::uint64_t, Bytes> buffered_preprepares_;
 };

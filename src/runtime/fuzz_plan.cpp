@@ -449,11 +449,11 @@ const char* backend_name(Backend backend) {
 
 const BackendCaps& capabilities(Backend backend) {
   static const BackendCaps kCaps[] = {
-      //  real   sockets lossy  byzantine trace
-      {false, false, true, true, true},     // sim
-      {true, false, false, false, false},   // threads
-      {true, true, false, false, false},    // tcp
-      {true, true, true, false, false},     // udp
+      //  real   sockets lossy  byzantine trace  min_plan_servers
+      {false, false, true, true, true, 1},     // sim
+      {true, false, false, false, false, 2},   // threads
+      {true, true, false, false, false, 2},    // tcp
+      {true, true, true, false, false, 2},     // udp
   };
   return kCaps[static_cast<int>(backend)];
 }

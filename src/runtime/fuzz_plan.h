@@ -45,6 +45,10 @@ struct BackendCaps {
   bool lossy;      // a wire that drops: --drop / --loss
   bool byzantine;  // protocol-level fault injection: --byzantine
   bool trace;      // a virtual-time event log: replay --trace
+  // Fewest servers a fuzz plan can exercise: the real-runtime grammars
+  // inject faults on links and restart a crashed server from its peers,
+  // so with one server every check there fails by construction.
+  std::uint32_t min_plan_servers;
 };
 const BackendCaps& capabilities(Backend backend);
 

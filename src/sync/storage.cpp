@@ -1,13 +1,17 @@
 #include "sync/storage.h"
 
+#include <dirent.h>
 #include <fcntl.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <cstring>
 #include <fstream>
+#include <string_view>
+#include <vector>
 
 #include "util/crc32.h"
 #include "util/serialize.h"
@@ -24,6 +28,33 @@ std::string ckpt_path(const std::string& dir, std::uint64_t epoch) {
 
 std::string log_path(const std::string& dir, std::uint64_t epoch) {
   return dir + "/blocks-" + std::to_string(epoch) + ".log";
+}
+
+// Epochs of the files in `dir` named `<prefix><epoch><suffix>`, ascending.
+std::vector<std::uint64_t> list_epochs(const std::string& dir,
+                                       std::string_view prefix,
+                                       std::string_view suffix) {
+  std::vector<std::uint64_t> epochs;
+  DIR* d = ::opendir(dir.c_str());
+  if (d == nullptr) return epochs;
+  while (const ::dirent* entry = ::readdir(d)) {
+    const std::string_view name = entry->d_name;
+    if (name.size() <= prefix.size() + suffix.size() ||
+        !name.starts_with(prefix) || !name.ends_with(suffix)) {
+      continue;
+    }
+    const std::string_view digits =
+        name.substr(prefix.size(), name.size() - prefix.size() - suffix.size());
+    std::uint64_t epoch = 0;
+    const auto [end, ec] =
+        std::from_chars(digits.data(), digits.data() + digits.size(), epoch);
+    if (ec == std::errc() && end == digits.data() + digits.size()) {
+      epochs.push_back(epoch);
+    }
+  }
+  ::closedir(d);
+  std::sort(epochs.begin(), epochs.end());
+  return epochs;
 }
 
 bool read_file(const std::string& path, Bytes& out) {
@@ -169,9 +200,11 @@ bool DataDir::store_checkpoint(std::uint64_t epoch, const Bytes& bytes) {
   // new checkpoint subsumes it. Unlink failures are ignored (stale files
   // waste space but load_latest picks the newest checkpoint anyway).
   if (!open_log(epoch, /*truncate=*/true)) return false;
-  for (std::uint64_t e = 0; e < epoch; ++e) {
-    ::unlink(ckpt_path(dir_, e).c_str());
-    ::unlink(log_path(dir_, e).c_str());
+  for (std::uint64_t e : list_epochs(dir_, "checkpoint-", ".ckpt")) {
+    if (e < epoch) ::unlink(ckpt_path(dir_, e).c_str());
+  }
+  for (std::uint64_t e : list_epochs(dir_, "blocks-", ".log")) {
+    if (e < epoch) ::unlink(log_path(dir_, e).c_str());
   }
   return true;
 }
@@ -196,21 +229,15 @@ bool DataDir::load_latest(std::uint64_t& epoch, Bytes& checkpoint,
   epoch = 0;
   checkpoint.clear();
   log.clear();
-  // Epochs are dense from 1 (0 = "no checkpoint yet") and rotation keeps
-  // only the newest files, so scan forward until a gap.
-  std::uint64_t newest = 0;
-  Bytes newest_file;
-  for (std::uint64_t e = 1, misses = 0; misses < 4; ++e) {
-    Bytes file;
-    if (read_file(ckpt_path(dir_, e), file)) {
-      misses = 0;
-      newest = e;
-      newest_file = std::move(file);
-    } else {
-      ++misses;
-    }
-  }
+  // Epochs start at 1 (0 = "no checkpoint yet") and rotation deletes every
+  // epoch below the newest, so the newest is read off the directory listing
+  // — probing upward from 1 would find nothing once epoch 1 is gone.
+  const std::vector<std::uint64_t> epochs =
+      list_epochs(dir_, "checkpoint-", ".ckpt");
+  const std::uint64_t newest = epochs.empty() ? 0 : epochs.back();
   if (newest != 0) {
+    Bytes newest_file;
+    if (!read_file(ckpt_path(dir_, newest), newest_file)) return false;
     // A newest checkpoint that does not decode is corrupt storage, and
     // falling back to an older surviving epoch would be amnesia: rotation
     // already unlinked that epoch's log, so every block appended since —

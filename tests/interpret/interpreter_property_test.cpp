@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 
 #include "interpret/interpreter.h"
 #include "protocols/brb.h"
@@ -21,6 +22,7 @@ using testing::make_random_dag;
 using testing::prefix_of;
 using testing::RandomDag;
 using testing::RandomDagConfig;
+using testing::requested_in_ancestry;
 
 class InterpreterProperties : public ::testing::TestWithParam<std::uint64_t> {};
 
@@ -107,18 +109,28 @@ TEST_P(InterpreterProperties, NoDuplicationPerChain) {
 
 TEST_P(InterpreterProperties, AuthenticityAndProvenance) {
   // Lemma A.14: out-messages carry the builder as sender. Lemma A.12:
-  // out-buffers only exist for labels requested somewhere in the ancestry.
+  // out-buffers only exist for labels requested somewhere in the ancestry
+  // (the block itself included), as read off the DAG — and so do in-
+  // buffers and instances.
   BlockForge forge(16);
   const RandomDag rd = generate(forge, GetParam());
   brb::BrbFactory factory;
   Interpreter interp(rd.dag, factory, 16);
   interp.run();
+  const auto requested = requested_in_ancestry(rd.dag);
 
   for (const BlockPtr& b : rd.dag.topological_order()) {
     const auto* st = interp.state_of(b->ref());
+    const std::set<Label>& labels = requested.at(b->ref());
+    for (const auto& [label, msgs] : st->ms_in) {
+      EXPECT_TRUE(labels.count(label));
+    }
+    for (const auto& [label, proc] : st->pis) {
+      EXPECT_TRUE(labels.count(label));
+    }
     for (const auto& [label, msgs] : st->ms_out) {
       if (msgs.empty()) continue;
-      EXPECT_TRUE(st->active_labels.count(label));
+      EXPECT_TRUE(labels.count(label));
       EXPECT_TRUE(rd.broadcasts.count(label));
       for (const Message& m : msgs) EXPECT_EQ(m.sender, b->n());
     }

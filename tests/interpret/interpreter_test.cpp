@@ -238,7 +238,10 @@ TEST_F(InterpreterTest, MultipleLabelsAreIndependent) {
   EXPECT_EQ(st2->ms_in.at(2).size(), 1u);
 }
 
-TEST_F(InterpreterTest, ActiveLabelsPropagate) {
+TEST_F(InterpreterTest, AncestryLabelsReachDescendantsThroughDirectPreds) {
+  // Line 7 ranges over labels requested anywhere in B's ancestry, yet lines
+  // 7–9 read only the direct preds' out-buffers: label 1, requested two
+  // blocks up, reaches b3 because b2 echoed it.
   const BlockPtr b1 = forge.block(0, 0, {}, {{1, brb::make_broadcast(val(1))}});
   const BlockPtr b2 = forge.block(1, 0, {b1->ref()}, {{2, brb::make_broadcast(val(2))}});
   const BlockPtr b3 = forge.block(2, 0, {b2->ref()});
@@ -247,9 +250,14 @@ TEST_F(InterpreterTest, ActiveLabelsPropagate) {
   dag.insert(b3);
   Interpreter interp(dag, factory, 4);
   interp.run();
-  const auto& active = interp.state_of(b3->ref())->active_labels;
-  EXPECT_TRUE(active.count(1));
-  EXPECT_TRUE(active.count(2));
+  const auto* st = interp.state_of(b3->ref());
+  ASSERT_NE(st, nullptr);
+  ASSERT_EQ(st->ms_in.size(), 2u);
+  EXPECT_EQ(st->ms_in.at(1).size(), 1u);
+  EXPECT_EQ(st->ms_in.at(2).size(), 1u);
+  ASSERT_EQ(st->ms_out.size(), 2u);
+  EXPECT_EQ(st->ms_out.at(1).size(), 4u);  // b3's own ECHO 1
+  EXPECT_EQ(st->ms_out.at(2).size(), 4u);  // b3's own ECHO 2
 }
 
 TEST_F(InterpreterTest, RunIsIncremental) {

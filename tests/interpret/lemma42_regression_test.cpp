@@ -5,12 +5,13 @@
 // and a shuffled interpret_one() walk over any other eligibility-
 // respecting order must agree byte-for-byte on digest_of.
 //
-// The copy-on-write structures this pins down: shared active-label sets,
-// flat PIs/Ms buffers keyed by dense BlockIdx, and the sort+unique inbox
-// realization of the Ms[in] union semantics.
+// The structures this pins down: copy-on-write PIs, flat Ms buffers keyed
+// by dense BlockIdx, and the sort+unique inbox realization of the Ms[in]
+// union semantics.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 #include <vector>
 
 #include "interpret/interpreter.h"
@@ -24,6 +25,7 @@ namespace {
 using testing::BlockForge;
 using testing::RandomDagConfig;
 using testing::make_random_dag;
+using testing::requested_in_ancestry;
 
 // Interprets every block of `dag` in a random eligibility-respecting order.
 void interpret_shuffled(Interpreter& interp, const BlockDag& dag, std::uint64_t seed) {
@@ -104,47 +106,61 @@ TEST(Lemma42Regression, IncrementalRunMatchesOneShotRun) {
   }
 }
 
-TEST(Lemma42Regression, ActiveLabelSetsShareStorageDownChains) {
-  // White-box: a block that introduces no new label must share its
-  // predecessor's active-label storage (the copy-on-write fast path), and
-  // sharing must not leak labels between sibling branches.
+// Every label a block's state names — in Ms[in], Ms[out] or PIs.
+std::set<Label> labels_named(const BlockInterpretation& st) {
+  std::set<Label> out;
+  for (const auto& [label, msgs] : st.ms_in) out.insert(label);
+  for (const auto& [label, msgs] : st.ms_out) out.insert(label);
+  for (const auto& [label, proc] : st.pis) out.insert(label);
+  return out;
+}
+
+TEST(Lemma42Regression, StateStaysWithinRequestedAncestryLabels) {
+  // Lemma A.12 provenance, with the line-7 label range read off the DAG
+  // instead of kept per block: a label reaches a block's state only if it
+  // was requested at that block or above it, so a label requested on one
+  // branch never leaks into a sibling branch or back up the chain.
   BlockForge forge(4);
   BlockDag dag;
   const BlockPtr g0 = forge.block(0, 0, {}, {{1, brb::make_broadcast(Bytes{1})}});
   const BlockPtr b1 = forge.block(0, 1, {g0->ref()});
-  const BlockPtr b2 = forge.block(0, 2, {b1->ref()});
-  ASSERT_TRUE(dag.insert(g0));
-  ASSERT_TRUE(dag.insert(b1));
-  ASSERT_TRUE(dag.insert(b2));
+  const BlockPtr b2 = forge.block(0, 2, {b1->ref()}, {{2, brb::make_broadcast(Bytes{2})}});
+  const BlockPtr sib = forge.block(1, 0, {g0->ref()}, {{3, brb::make_broadcast(Bytes{3})}});
+  const BlockPtr join = forge.block(2, 0, {b2->ref(), sib->ref()});
+  for (const BlockPtr& b : {g0, b1, b2, sib, join}) ASSERT_TRUE(dag.insert(b));
   brb::BrbFactory factory;
   Interpreter interp(dag, factory, 4);
   interp.run();
 
-  const auto* s0 = interp.state_of(g0->ref());
-  const auto* s1 = interp.state_of(b1->ref());
-  const auto* s2 = interp.state_of(b2->ref());
-  ASSERT_NE(s0, nullptr);
-  ASSERT_NE(s1, nullptr);
-  ASSERT_NE(s2, nullptr);
-  EXPECT_EQ(s0->active_labels.count(1), 1u);
-  // No new labels below g0 — all three share one vector.
-  EXPECT_EQ(s1->active_labels.handle(), s0->active_labels.handle());
-  EXPECT_EQ(s2->active_labels.handle(), s0->active_labels.handle());
+  const auto named = [&](const BlockPtr& b) {
+    const auto* st = interp.state_of(b->ref());
+    EXPECT_NE(st, nullptr);
+    return st ? labels_named(*st) : std::set<Label>{};
+  };
+  EXPECT_EQ(named(g0), (std::set<Label>{1}));
+  EXPECT_EQ(named(b1), (std::set<Label>{1}));
+  EXPECT_EQ(named(b2), (std::set<Label>{1, 2}));
+  EXPECT_EQ(named(sib), (std::set<Label>{1, 3}));
+  EXPECT_EQ(named(join), (std::set<Label>{1, 2, 3}));
 
-  // A block adding a new label forks the storage; the ancestor set is
-  // unchanged (immutability of the shared vector).
-  const BlockPtr b3 = forge.block(0, 3, {b2->ref()}, {{2, brb::make_broadcast(Bytes{2})}});
-  ASSERT_TRUE(dag.insert(b3));
-  interp.run();
-  // run() may grow the state table, so pointers taken before it dangle.
-  s0 = interp.state_of(g0->ref());
-  const auto* s3 = interp.state_of(b3->ref());
-  ASSERT_NE(s0, nullptr);
-  ASSERT_NE(s3, nullptr);
-  EXPECT_NE(s3->active_labels.handle(), s0->active_labels.handle());
-  EXPECT_EQ(s3->active_labels.count(1), 1u);
-  EXPECT_EQ(s3->active_labels.count(2), 1u);
-  EXPECT_EQ(s0->active_labels.count(2), 0u);
+  // The same bound over random DAGs, block by block.
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    BlockForge rforge(5);
+    RandomDagConfig cfg;
+    cfg.n_servers = 5;
+    cfg.rounds = 8;
+    cfg.broadcasts = 4;
+    const auto rd = make_random_dag(rforge, cfg, seed);
+    Interpreter rinterp(rd.dag, factory, 5);
+    rinterp.run();
+    const auto requested = requested_in_ancestry(rd.dag);
+    for (const BlockPtr& b : rd.dag.topological_order()) {
+      const std::set<Label>& allowed = requested.at(b->ref());
+      for (Label l : labels_named(*rinterp.state_of(b->ref()))) {
+        EXPECT_TRUE(allowed.count(l)) << "seed=" << seed << " label=" << l;
+      }
+    }
+  }
 }
 
 TEST(Lemma42Regression, CursorSurvivesPruning) {

@@ -292,6 +292,23 @@ TEST(FuzzPlan, CapabilityTable) {
   EXPECT_EQ(threaded_config(h).backend, rt::TransportBackend::kLoopback);
 }
 
+TEST(FuzzPlan, RealRuntimePlansNeedTwoServers) {
+  // One server gives the real-runtime grammars no link to inject on and no
+  // peer to restart from, so `simctl fuzz|replay` refuses a pinned --n
+  // below the floor; the simulator's grammar runs at any size. Rotation
+  // (--n 0) never picks a size below any floor.
+  EXPECT_EQ(capabilities(Backend::kSim).min_plan_servers, 1u);
+  for (Backend backend : {Backend::kThreads, Backend::kTcp, Backend::kUdp}) {
+    EXPECT_EQ(capabilities(backend).min_plan_servers, 2u);
+  }
+  for (Backend backend : kBackends) {
+    for (std::uint64_t seed = 0; seed < 12; ++seed) {
+      EXPECT_GE(FuzzPlan::derive(backend, seed, fuzz_pins()).header.n,
+                capabilities(backend).min_plan_servers);
+    }
+  }
+}
+
 std::vector<ServerId> targets(const std::string& protocol, std::uint32_t i,
                               const Issuers& issuers) {
   std::vector<ServerId> out;

@@ -12,6 +12,7 @@
 #include "sync/checkpoint.h"
 #include "sync/checkpointer.h"
 #include "sync/storage.h"
+#include "util/serialize.h"
 
 namespace blockdag {
 namespace {
@@ -145,6 +146,80 @@ TEST(CheckpointFuzz, VersionSkewIsRefusedFirst) {
   EXPECT_FALSE(sync::decode_signed_checkpoint(future, &f.cluster.signatures(), 0)
                    .has_value());
   EXPECT_FALSE(sync::decode_signed_checkpoint(future, nullptr, 0).has_value());
+}
+
+// `cp` in the version-1 layout, which also stored an active-label set per
+// record (written here as the record's Ms[out] labels), signed by its owner
+// like a genuine version-1 file.
+Bytes encode_version1(const sync::Checkpoint& cp, SignatureProvider& sigs) {
+  Writer w;
+  w.u64(cp.epoch);
+  w.u32(cp.self);
+  w.u32(cp.n_servers);
+  w.u64(cp.next_k);
+  for (const auto* hashes : {&cp.building_preds, &cp.horizon}) {
+    w.u32(static_cast<std::uint32_t>(hashes->size()));
+    for (const Hash256& h : *hashes) w.raw(h.span());
+  }
+  w.u32(static_cast<std::uint32_t>(cp.blocks.size()));
+  for (const Bytes& b : cp.blocks) w.bytes(b);
+  for (const sync::CheckpointRecord& rec : cp.records) {
+    w.bytes(rec.digest);
+    w.u32(static_cast<std::uint32_t>(rec.ms_out.size()));
+    for (const auto& [label, msgs] : rec.ms_out) w.u64(label);
+    w.u32(static_cast<std::uint32_t>(rec.ms_out.size()));
+    for (const auto& [label, msgs] : rec.ms_out) {
+      w.u64(label);
+      w.u32(static_cast<std::uint32_t>(msgs.size()));
+      for (const Message& m : msgs) w.raw(m.canonical());
+    }
+    w.u32(static_cast<std::uint32_t>(rec.pis.size()));
+    for (const auto& [label, state] : rec.pis) {
+      w.u64(label);
+      w.bytes(state);
+    }
+  }
+  w.u32(static_cast<std::uint32_t>(cp.indications.size()));
+  for (const UserIndication& ind : cp.indications) {
+    w.u64(ind.label);
+    w.bytes(ind.indication);
+    w.u64(ind.at);
+  }
+  const Bytes payload = std::move(w).take();
+  Bytes preimage{1};  // σ covers version ‖ payload
+  preimage.insert(preimage.end(), payload.begin(), payload.end());
+  Writer out;
+  out.u8(1);
+  out.bytes(payload);
+  out.bytes(sigs.sign(cp.self, preimage));
+  return std::move(out).take();
+}
+
+TEST(CheckpointFuzz, Version1CheckpointIsRefusedCleanly) {
+  // Version 2 dropped the per-record active-label set. A validly signed
+  // version-1 file left in a data dir must be refused outright — never
+  // misparsed as version 2 — and leave a restarting server un-restored.
+  Fixture& f = fixture();
+  const auto cp = sync::decode_signed_checkpoint(f.wire, nullptr, 0);
+  ASSERT_TRUE(cp.has_value());
+  ASSERT_EQ(sync::kCheckpointVersion, 2);
+  const Bytes v1 = encode_version1(*cp, f.cluster.signatures());
+  ASSERT_EQ(v1[0], 1);
+  EXPECT_FALSE(
+      sync::decode_signed_checkpoint(v1, &f.cluster.signatures(), 0).has_value());
+  EXPECT_FALSE(sync::decode_signed_checkpoint(v1, nullptr, 0).has_value());
+
+  brb::BrbFactory factory;
+  sync::MemStore store;
+  ASSERT_TRUE(store.store_checkpoint(1, v1));
+  Cluster fresh(factory, fuzz_config());
+  Shim& shim = fresh.shim(0);
+  sync::Checkpointer checkpointer(shim, fresh.signatures(), 4, &store);
+  EXPECT_FALSE(checkpointer.restore_from_storage());
+  EXPECT_FALSE(checkpointer.restore_stats().restored);
+  EXPECT_EQ(shim.dag().size(), 0u);
+  EXPECT_TRUE(shim.indications().empty());
+  EXPECT_FALSE(shim.restoring());
 }
 
 TEST(CheckpointFuzz, StorageCrcScreensCorruptionBeforeTheDecoder) {

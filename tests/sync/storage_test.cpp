@@ -202,6 +202,37 @@ TEST(StorageDataDir, RotationDropsSubsumedEpochs) {
   EXPECT_TRUE(log.empty()) << "rotation must truncate the block log";
 }
 
+TEST(StorageDataDir, RestartAfterManyEpochsRestoresTheNewest) {
+  // Rotation leaves only the newest epoch on disk, so after epoch 5 the
+  // directory holds no epoch 1..4 at all: the load must find epoch 8 by
+  // listing the directory, not by probing upward from epoch 1.
+  TempDir tmp;
+  {
+    DataDir dir(tmp.path);
+    ASSERT_TRUE(dir.ok());
+    for (std::uint64_t e = 1; e <= 8; ++e) {
+      ASSERT_TRUE(dir.store_checkpoint(e, some_bytes(16, static_cast<std::uint8_t>(e))));
+      ASSERT_TRUE(dir.append_block(LogKind::kOwnBlock,
+                                   some_bytes(8, static_cast<std::uint8_t>(40 + e))));
+    }
+    ASSERT_TRUE(dir.append_block(LogKind::kRecvBlock, some_bytes(5, 99)));
+  }
+  EXPECT_FALSE(file_exists(tmp.path + "/checkpoint-7.ckpt"));
+  EXPECT_FALSE(file_exists(tmp.path + "/blocks-7.log"));
+
+  DataDir reopened(tmp.path);
+  std::uint64_t epoch = 0;
+  Bytes ckpt;
+  std::vector<LogRecord> log;
+  ASSERT_TRUE(reopened.load_latest(epoch, ckpt, log));
+  EXPECT_EQ(epoch, 8u);
+  EXPECT_EQ(ckpt, some_bytes(16, 8));
+  ASSERT_EQ(log.size(), 2u);
+  EXPECT_EQ(log[0].payload, some_bytes(8, 48));
+  EXPECT_EQ(static_cast<int>(log[1].kind), static_cast<int>(LogKind::kRecvBlock));
+  EXPECT_EQ(log[1].payload, some_bytes(5, 99));
+}
+
 TEST(StorageDataDir, CorruptNewestCheckpointRefusesToLoad) {
   TempDir tmp;
   {

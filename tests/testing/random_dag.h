@@ -7,6 +7,7 @@
 #pragma once
 
 #include <map>
+#include <set>
 #include <vector>
 
 #include "dag/dag.h"
@@ -91,6 +92,22 @@ inline RandomDag make_random_dag(BlockForge& forge, const RandomDagConfig& cfg,
       for (ServerId s = 0; s < cfg.n_servers; ++s) {
         if (s != b->n()) unreferenced[s].push_back(b->ref());
       }
+    }
+  }
+  return out;
+}
+
+// Per block: every label requested at the block or at one of its ancestors
+// — the range Algorithm 2 line 7 quantifies over, computed from the DAG
+// alone (Lemma A.12 says interpretation state never leaves it).
+inline std::map<Hash256, std::set<Label>> requested_in_ancestry(const BlockDag& dag) {
+  std::map<Hash256, std::set<Label>> out;
+  for (const BlockPtr& b : dag.topological_order()) {
+    std::set<Label>& labels = out[b->ref()];
+    for (const LabeledRequest& lr : b->rs()) labels.insert(lr.label);
+    for (const Hash256& p : b->preds()) {
+      const auto it = out.find(p);
+      if (it != out.end()) labels.insert(it->second.begin(), it->second.end());
     }
   }
   return out;

@@ -7,9 +7,11 @@
 # with batching on and off), a bench harness smoke (every
 # bench runs seconds-scale and must emit parseable BENCH_*.json), Asan and
 # Ubsan builds running the tier1 ctest label, then a Tsan build running the
-# threaded-runtime, TCP-runtime and UDP-runtime convergence tests and the
-# socket link-layer tests under ThreadSanitizer. Mirrors .github/workflows/ci.yml; see BUILDING.md for
-# the full command reference.
+# threaded-runtime, TCP-runtime and UDP-runtime convergence tests, the
+# socket link-layer tests and the vote-tally differential (the tallies
+# engine workers read while cloning instances) under ThreadSanitizer.
+# Mirrors .github/workflows/ci.yml; see BUILDING.md for the full command
+# reference.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -76,9 +78,9 @@ cmake --build build-ci-tsan -j "$jobs" \
                rt_udp_runtime_test rt_timer_wheel_test rt_crash_restart_test \
                rt_mailbox_batch_test rt_socket_transport_test \
                crypto_verifier_pool_test interpret_parallel_interpreter_test \
-               protocols_fifo_sharing_test
+               protocols_fifo_sharing_test protocol_vote_tally_test
 (cd build-ci-tsan && ctest --output-on-failure \
-    -R '^(rt/(threaded_runtime_test|tcp_runtime_test|udp_runtime_test|timer_wheel_test|crash_restart_test|mailbox_batch_test|socket_transport_test)|crypto/verifier_pool_test|interpret/parallel_interpreter_test|protocols/fifo_sharing_test)$')
+    -R '^(rt/(threaded_runtime_test|tcp_runtime_test|udp_runtime_test|timer_wheel_test|crash_restart_test|mailbox_batch_test|socket_transport_test)|crypto/verifier_pool_test|interpret/parallel_interpreter_test|protocols/fifo_sharing_test|protocol/vote_tally_test)$')
 # The pool's shutdown race is timing-shaped: loop the Tsan binaries so the
 # sanitizer sees many distinct stop()-vs-batch interleavings (the parallel
 # interpreter shares the verifier pool's owner-drains-the-bag protocol;

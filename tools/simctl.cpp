@@ -43,8 +43,8 @@
 //     per seed with the property checkers always on — the simulator's
 //     fault plan, a UDP wire-fault profile, or threads/tcp crash churn over
 //     durable storage (runtime/fuzz_plan.h). Protocol and cluster size
-//     rotate per seed unless pinned; a non-ideal --sig also arms the forger
-//     adversary. Every fuzz failure prints a one-line `simctl replay …`
+//     rotate per seed unless pinned (a pinned --n is 2 or more on
+//     threads|tcp|udp); a non-ideal --sig also arms the forger adversary. Every fuzz failure prints a one-line `simctl replay …`
 //     repro (also appended to --repro-file); replay re-derives exactly that
 //     plan, prints it and the result, and on the simulator optionally
 //     writes a JSON trace. Simulator replays are exact; on the real
@@ -201,8 +201,11 @@ const Flag kFlags[] = {
      [](const char* v, Options& o) { return parse_seeds(v, o); }},
     {"--seed", "S", kRun | kMember | kReplay, kReplay,
      [](const char* v, Options& o) {
-       // replay has always taken a range too, replaying its first seed.
-       return o.command == kReplay ? parse_seeds(v, o) : parse_u64(v, o.run.seed);
+       // replay also takes the one-seed range A..A; a wider range would
+       // replay only its first seed, so it is refused.
+       return o.command == kReplay
+                  ? parse_seeds(v, o) && o.run.seed == o.last_seed
+                  : parse_u64(v, o.run.seed);
      }},
     {"--id", "I", kJoin, kJoin,
      [](const char* v, Options& o) {
@@ -369,6 +372,15 @@ bool backend_supports(const Options& opt) {
                    need.needs, backend_name(opt.run.backend));
       return false;
     }
+  }
+  // --n 0 rotates the cluster size, and rotation never goes below 3.
+  if ((opt.command & kPlan) && opt.run.n != 0 && opt.run.n < caps.min_plan_servers) {
+    std::fprintf(stderr,
+                 "%s --runtime %s needs --n %u or more: its faults need links "
+                 "between servers and a peer to restart from\n",
+                 opt.command == kFuzz ? "fuzz" : "replay",
+                 backend_name(opt.run.backend), caps.min_plan_servers);
+    return false;
   }
   return true;
 }
