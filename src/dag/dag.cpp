@@ -152,7 +152,8 @@ void BlockDag::absorb(const BlockDag& other) {
   }
 }
 
-std::size_t BlockDag::prune_below(const std::vector<Hash256>& checkpoints) {
+std::size_t BlockDag::prune_below(const std::vector<Hash256>& checkpoints,
+                                  const PruneObserver& before) {
   // Collect proper ancestors of all checkpoints with an index bitvector.
   std::vector<char> doomed(nodes_.size(), 0);
   std::deque<BlockIdx> frontier;
@@ -175,10 +176,11 @@ std::size_t BlockDag::prune_below(const std::vector<Hash256>& checkpoints) {
     for (BlockIdx p : nodes_[cur].preds) mark(p);
   }
 
-  return tombstone_doomed(doomed);
+  return tombstone_doomed(doomed, before);
 }
 
-std::size_t BlockDag::prune_common_ancestors(const std::vector<Hash256>& tips) {
+std::size_t BlockDag::prune_common_ancestors(const std::vector<Hash256>& tips,
+                                             const PruneObserver& before) {
   if (tips.empty()) return 0;
   // Per-tip ancestor sweeps accumulated into a counter; a block is doomed
   // iff it is a proper ancestor of EVERY tip. Each tip's proper-ancestor
@@ -215,7 +217,7 @@ std::size_t BlockDag::prune_common_ancestors(const std::vector<Hash256>& tips) {
       any = true;
     }
   }
-  return any ? tombstone_doomed(doomed) : 0;
+  return any ? tombstone_doomed(doomed, before) : 0;
 }
 
 BlockIdx BlockDag::register_pruned(const Hash256& ref) {
@@ -227,12 +229,14 @@ BlockIdx BlockDag::register_pruned(const Hash256& ref) {
   return idx;
 }
 
-std::size_t BlockDag::tombstone_doomed(const std::vector<char>& doomed) {
+std::size_t BlockDag::tombstone_doomed(const std::vector<char>& doomed,
+                                       const PruneObserver& before) {
   // The doomed set is ancestor-closed, so every pred of a doomed block is
   // itself doomed. Hence every edge incident to a doomed block is an
   // *out*-edge of some doomed block (doomed → doomed or doomed → survivor),
   // and no surviving child list references a doomed block. Survivors' pred
   // lists may keep tombstone indices — consumers check alive().
+  if (before) before(doomed);
   std::size_t removed = 0;
   order_.erase(std::remove_if(order_.begin(), order_.end(),
                               [&](const BlockPtr& b) {

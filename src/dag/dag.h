@@ -116,11 +116,18 @@ class BlockDag {
   // exercising joint DAGs, Lemma 3.7 / A.7).
   void absorb(const BlockDag& other);
 
+  // Called by the prune operations with the set they are about to remove
+  // (doomed[i] != 0, indexed by BlockIdx) while those blocks are still
+  // live: Interpreter::retain_frontier keeps what it must re-derive from
+  // them.
+  using PruneObserver = std::function<void(const std::vector<char>& doomed)>;
+
   // Removes all blocks strictly below the given checkpoint refs (their
   // proper ancestors) — the §7 bounded-memory extension. Returns the number
   // of blocks removed. Slots are tombstoned; indices of survivors are
   // unchanged.
-  std::size_t prune_below(const std::vector<Hash256>& checkpoints);
+  std::size_t prune_below(const std::vector<Hash256>& checkpoints,
+                          const PruneObserver& before = nullptr);
 
   // Removes exactly the blocks that are proper ancestors of EVERY tip —
   // the epoch-GC rule (src/sync): once all n servers' latest blocks sit
@@ -129,7 +136,8 @@ class BlockDag {
   // of blocks removed; returns 0 (and prunes nothing) if any tip is missing
   // or dead. Tips themselves are never pruned (a block is not its own
   // proper ancestor).
-  std::size_t prune_common_ancestors(const std::vector<Hash256>& tips);
+  std::size_t prune_common_ancestors(const std::vector<Hash256>& tips,
+                                     const PruneObserver& before = nullptr);
 
   // Registers `ref` as a pruned tombstone without ever having held the
   // block: checkpoint restore uses this for horizon refs (pruned preds of
@@ -140,7 +148,8 @@ class BlockDag {
  private:
   // Shared tombstone pass of the prune operations. `doomed` must be
   // ancestor-closed over live blocks.
-  std::size_t tombstone_doomed(const std::vector<char>& doomed);
+  std::size_t tombstone_doomed(const std::vector<char>& doomed,
+                               const PruneObserver& before);
 
   struct Node {
     BlockPtr block;  // nullptr ⇒ pruned tombstone

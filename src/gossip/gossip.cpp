@@ -291,7 +291,8 @@ void GossipServer::flush_egress() {
   egress_.clear();
 }
 
-std::size_t GossipServer::collect_garbage(std::uint32_t n_servers) {
+std::size_t GossipServer::collect_garbage(std::uint32_t n_servers,
+                                         const BlockDag::PruneObserver& before) {
   if (n_servers == 0) return 0;
   // Tip census: the highest-seqno live block per builder. Correctness of
   // the prune rule rests on correct servers referencing *everything they
@@ -311,7 +312,7 @@ std::size_t GossipServer::collect_garbage(std::uint32_t n_servers) {
     if (!slot) return 0;  // some server has no block yet: GC must wait
     tips.push_back(slot->second);
   }
-  const std::size_t removed = dag_.prune_common_ancestors(tips);
+  const std::size_t removed = dag_.prune_common_ancestors(tips, before);
   if (removed != 0) {
     ++stats_.gc_runs;
     stats_.blocks_pruned += removed;

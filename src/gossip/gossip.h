@@ -146,8 +146,11 @@ class GossipServer {
   // No-op (returns 0) until every one of the n servers has a block in the
   // local DAG; in particular a fresh joiner that has not yet disseminated
   // holds GC back cluster-wide, which is what guarantees it can still fetch
-  // the full DAG. Callers must pair this with Interpreter::forget_pruned().
-  std::size_t collect_garbage(std::uint32_t n_servers);
+  // the full DAG. `before` sees the doomed set first (BlockDag::
+  // PruneObserver); callers pass Interpreter::retain_frontier there and
+  // call Interpreter::forget_pruned() afterwards.
+  std::size_t collect_garbage(std::uint32_t n_servers,
+                              const BlockDag::PruneObserver& before = nullptr);
 
   // --- Crash recovery (§7 Limitations) ---
   //

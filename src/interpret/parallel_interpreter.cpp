@@ -25,6 +25,7 @@ struct ParallelInterpreter::Batch {
   struct Cell {
     std::unique_ptr<Process> working;      // live during the shard pass
     std::shared_ptr<const Process> pi;     // committed at end of block
+    Bytes change_digest;                   // pi->change_digest()
     std::vector<Message> ms_in;            // sorted <M, deduplicated
     std::vector<Message> ms_out;
     // Request-phase indications keep their rs-inscription index so the
@@ -158,9 +159,12 @@ void ParallelInterpreter::process_shard(Batch& b, std::size_t shard) const {
       BlockIdx a = dag.parent_of(idx);
       while (a != kNoBlockIdx && dag.alive(a)) {
         if (interp.interpreted_at(a)) {
+          // run() re-derived a forked builder's PIs before fan-out; a
+          // parent still without them is a lost state, which starts empty.
           const auto& pis = interp.states_[a].pis;
-          const auto it = pis.find(label);
-          return it != pis.end() ? &it->second : nullptr;
+          if (!pis) return nullptr;
+          const auto it = pis->find(label);
+          return it != pis->end() ? &it->second : nullptr;
         }
         const FlatMap<Label, Batch::Cell>& pc = my_cells[b.pos_of(a)];
         const auto it = pc.find(label);
@@ -241,10 +245,12 @@ void ParallelInterpreter::process_shard(Batch& b, std::size_t shard) const {
     }
 
     // Commit the advanced instances (this shard's slice of the line-12
-    // PIs commit) so later blocks' inherited() walks see them.
+    // PIs commit) so later blocks' inherited() walks see them, with the
+    // change digests the merge chains into pis_digest.
     for (auto& [label, cell] : out) {
       (void)label;
       if (cell.working) {
+        cell.change_digest = cell.working->change_digest();
         cell.pi = std::shared_ptr<const Process>(std::move(cell.working));
       }
     }
@@ -266,8 +272,8 @@ std::size_t ParallelInterpreter::merge(Batch& b) const {
     const Block& block = *dag.block_at(idx);
     const ServerId owner = block.n();
     // Line 4: exactly the serial start state — the parent is merged by now
-    // (lower dense index), so the copy-on-write PIs share exactly the
-    // chunks the serial pass would.
+    // (lower dense index), so the inherited PIs share exactly the chunks
+    // the serial pass would.
     BlockInterpretation st = interp.inherit(idx);
 
     // Gather this block's cells across shards, sorted by label. Shards own
@@ -281,23 +287,19 @@ std::size_t ParallelInterpreter::merge(Batch& b) const {
     std::sort(cells.begin(), cells.end(),
               [](const auto& x, const auto& y) { return x.first < y.first; });
 
-    std::vector<std::pair<Label, std::shared_ptr<const Process>>> committed;
-    committed.reserve(cells.size());
+    std::vector<Interpreter::Advanced> advanced;
+    advanced.reserve(cells.size());
     for (auto& [label, cell] : cells) {
       assert(cell->pi && "every simulated cell commits an instance");
-      committed.emplace_back(label, std::move(cell->pi));
+      advanced.push_back({label, std::move(cell->pi), std::move(cell->change_digest)});
       if (!cell->ms_in.empty()) st.ms_in[label] = std::move(cell->ms_in);
       // The serial absorb creates the Ms[out] entry for every simulated
       // label even when no message materialized — digest_of serializes the
       // empty entry, so presence must match exactly.
       st.ms_out[label] = std::move(cell->ms_out);
     }
-    st.pis.apply(std::move(committed));
-
     // Line 12 + stats, then lines 13–14 in the exact serial raise order.
-    st.interpreted = true;
-    ++interp.stats_.blocks_interpreted;
-    interp.states_[idx] = std::move(st);
+    interp.commit(idx, std::move(st), std::move(advanced));
 
     struct ReqInd {
       std::uint32_t req_index;
@@ -388,6 +390,17 @@ std::size_t ParallelInterpreter::run(Interpreter& interp) {
   if (pool_threads == 0 || estimate < config_.min_batch_work) {
     ++interp.stats_.serial_batches;
     return interp.run();
+  }
+
+  // A block whose committed parent gave its PIs away is a fork: re-derive
+  // that builder's PIs now, as the serial inherit() would, so the shards'
+  // inherited() walks find them.
+  for (BlockIdx c : batch.blocks) {
+    const BlockIdx parent = dag.parent_of(c);
+    if (parent != kNoBlockIdx && interp.interpreted_at(parent) &&
+        !interp.states_[parent].pis) {
+      interp.materialize(dag.block_at(c)->n());
+    }
   }
 
   batch.n_shards =

@@ -17,14 +17,17 @@
 //
 // The merge then reassembles each BlockInterpretation on the *calling*
 // thread, in dense-BlockIdx order: each block starts from the serial
-// pass's own Interpreter::inherit() — line 4's parent PIs handles (the
-// parent is always merged first — dense order respects topological order)
-// — shard cells commit into B.PIs as one batch in sorted label order, and
-// indications fire in the serial order — request-phase indications sorted
-// by their rs-inscription index, then message-phase indications in sorted
-// label order. digest_of() is therefore byte-identical to the serial
-// interpreter (Lemma 4.2; lemma42_regression_test and
-// tests/interpret/parallel_interpreter_test are the oracles).
+// pass's own Interpreter::inherit() — line 4's parent PIs, taken over from
+// the parent (the parent is always merged first — dense order respects
+// topological order) — shard cells, with the change digests the shards
+// computed, commit into B.PIs through the serial Interpreter::commit(),
+// and indications fire in the serial order — request-phase indications
+// sorted by their rs-inscription index, then message-phase indications in
+// sorted label order. digest_of() is therefore byte-identical to the
+// serial interpreter (Lemma 4.2; lemma42_regression_test and
+// tests/interpret/parallel_interpreter_test are the oracles). A fork whose
+// parent gave its PIs away is re-derived before the shards fan out, so
+// they only ever read committed state.
 //
 // Pool substrate follows crypto/verifier_pool: parked worker threads over a
 // mutex/condvar queue. A batch is a bag of shards; the submitting (owner)

@@ -63,6 +63,16 @@ class Process {
   // Lemma 4.2 (server-independent interpretation) bit-for-bit.
   virtual Bytes state_digest() const = 0;
 
+  // Digest of the state this instance changed since it was created,
+  // cloned or deserialized. The interpreter chains it, per block, onto the
+  // digest of the state the instance started from (interpret/interpreter.h,
+  // "Retention"), so it must cover every part of the state a step can
+  // change; a state and its change digests then determine each other up to
+  // collisions. The default, the full state_digest(), always qualifies. A
+  // protocol whose state grows with its history overrides it so that a
+  // block's digest costs what the block touched.
+  virtual Bytes change_digest() const { return state_digest(); }
+
   // Canonical serialization of the full instance state for checkpointing
   // (src/sync): ProtocolFactory::deserialize must rebuild an instance whose
   // state_digest() and future behaviour are byte-identical. The default —

@@ -1,5 +1,7 @@
 #include "protocols/fifo_brb.h"
 
+#include <algorithm>
+
 #include "protocol/state_codec.h"
 
 #include "crypto/sha256.h"
@@ -81,6 +83,8 @@ FifoBrbProcess::Slot& FifoBrbProcess::writable_slot(const SlotKey& key) {
     lent_.store(false);
     ++epoch_;
   }
+  const auto at = std::lower_bound(written_.begin(), written_.end(), key);
+  if (at == written_.end() || *at != key) written_.insert(at, key);
   SlotRef& ref = slots_[key];
   if (!ref.slot) {
     ref.slot = std::make_shared<Slot>();
@@ -178,27 +182,45 @@ StepResult FifoBrbProcess::on_message(const Message& message) {
   return result;
 }
 
-Bytes FifoBrbProcess::state_digest() const {
-  Writer w;
-  w.u64(next_own_seq_);
-  w.u32(static_cast<std::uint32_t>(slots_.size()));
-  for (const auto& [key, ref] : slots_) {
-    const Slot& slot = *ref.slot;
-    w.u32(key.first);
-    w.u64(key.second);
-    w.u8(slot.echoed);
-    w.u8(slot.readied);
-    w.u8(slot.delivered);
-    state_codec::put(w, slot.echos);
-    state_codec::put(w, slot.readies);
-  }
-  w.u32(static_cast<std::uint32_t>(next_deliver_seq_.size()));
-  for (const auto& [origin, next] : next_deliver_seq_) {
+namespace {
+// The slot part of state_digest()'s encoding.
+template <typename Slot>
+void put_slot(Writer& w, const std::pair<ServerId, std::uint64_t>& key,
+              const Slot& slot) {
+  w.u32(key.first);
+  w.u64(key.second);
+  w.u8(slot.echoed);
+  w.u8(slot.readied);
+  w.u8(slot.delivered);
+  state_codec::put(w, slot.echos);
+  state_codec::put(w, slot.readies);
+}
+
+Bytes finish(Writer& w, const std::map<ServerId, std::uint64_t>& next_deliver_seq) {
+  w.u32(static_cast<std::uint32_t>(next_deliver_seq.size()));
+  for (const auto& [origin, next] : next_deliver_seq) {
     w.u32(origin);
     w.u64(next);
   }
   const auto d = Sha256::digest(w.data());
   return Bytes(d.begin(), d.end());
+}
+}  // namespace
+
+Bytes FifoBrbProcess::state_digest() const {
+  Writer w;
+  w.u64(next_own_seq_);
+  w.u32(static_cast<std::uint32_t>(slots_.size()));
+  for (const auto& [key, ref] : slots_) put_slot(w, key, *ref.slot);
+  return finish(w, next_deliver_seq_);
+}
+
+Bytes FifoBrbProcess::change_digest() const {
+  Writer w;
+  w.u64(next_own_seq_);
+  w.u32(static_cast<std::uint32_t>(written_.size()));
+  for (const SlotKey& key : written_) put_slot(w, key, *slots_.at(key).slot);
+  return finish(w, next_deliver_seq_);
 }
 
 Bytes FifoBrbProcess::serialize() const {
@@ -229,6 +251,7 @@ bool FifoBrbProcess::restore(const Bytes& state) {
   const auto count = r.u32();
   if (!count || *count > r.remaining()) return false;
   slots_.clear();
+  written_.clear();
   for (std::uint32_t i = 0; i < *count; ++i) {
     SlotKey key{};
     auto slot = std::make_shared<Slot>();

@@ -16,6 +16,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <vector>
 
 #include "protocol/protocol.h"
 #include "protocol/vote_tally.h"
@@ -44,6 +45,10 @@ class FifoBrbProcess final : public Process {
   StepResult on_request(const Bytes& request) override;
   StepResult on_message(const Message& message) override;
   Bytes state_digest() const override;
+  // state_digest()'s encoding restricted to the slots written since this
+  // instance was created, cloned or restored: O(slots touched), where
+  // state_digest() is O(the label's whole history).
+  Bytes change_digest() const override;
   Bytes serialize() const override;
   bool restore(const Bytes& state);
 
@@ -92,6 +97,9 @@ class FifoBrbProcess final : public Process {
 
   std::uint64_t next_own_seq_ = 0;
   std::map<SlotKey, SlotRef> slots_;
+  // Keys passed to writable_slot() since this instance was created, cloned
+  // or restored (a clone starts empty), ascending and distinct.
+  std::vector<SlotKey> written_;
   // Slot-delivered values awaiting FIFO order, per origin.
   std::map<ServerId, std::map<std::uint64_t, Bytes>> ready_to_deliver_;
   std::map<ServerId, std::uint64_t> next_deliver_seq_;

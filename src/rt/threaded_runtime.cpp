@@ -480,6 +480,9 @@ InterpreterStats ThreadedRuntime::interpreter_stats() {
     total.messages_materialized += st.messages_materialized;
     total.indications += st.indications;
     total.instance_clones += st.instance_clones;
+    total.blocks_holding_pis += st.blocks_holding_pis;
+    total.chain_replays += st.chain_replays;
+    total.states_lost += st.states_lost;
     total.parallel_batches += st.parallel_batches;
     total.serial_batches += st.serial_batches;
     total.work_units += st.work_units;

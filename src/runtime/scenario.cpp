@@ -238,7 +238,8 @@ const ProtocolFactory* protocol_factory(const std::string& protocol) {
   return nullptr;
 }
 
-ScenarioResult run_scenario(const ScenarioConfig& config) {
+ScenarioResult run_scenario(const ScenarioConfig& config,
+                            const BlockDigestFn& block_digest) {
   ScenarioResult result;
   const ProtocolFactory* factory = protocol_factory(config.protocol);
   if (!factory) {
@@ -378,7 +379,8 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
     }
     const Bytes digest = witness_shim.interpreter().digest_of(block->ref());
     run_hash.update(block->ref().span());
-    run_hash.update(digest);
+    run_hash.update(block_digest ? block_digest(witness_shim.interpreter(), block->ref())
+                                 : digest);
     for (ServerId s : correct) {
       if (s == witness) continue;
       const Shim& shim = cluster.shim(s);

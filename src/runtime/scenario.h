@@ -14,6 +14,7 @@
 // A failing seed reproduces exactly with `simctl replay --seed S …`.
 #pragma once
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -46,8 +47,14 @@ struct ScenarioResult {
 const ProtocolFactory* protocol_factory(const std::string& protocol);
 
 // Runs one scenario to completion. Deterministic: equal configs produce
-// equal results (including run_digest).
-ScenarioResult run_scenario(const ScenarioConfig& config);
+// equal results (including run_digest). run_digest folds every block's
+// Interpreter::digest_of, or `block_digest` where a test passes one to pin
+// another encoding; the Lemma 4.2 divergence check always compares
+// digest_of.
+class Interpreter;
+using BlockDigestFn = std::function<Bytes(const Interpreter&, const Hash256&)>;
+ScenarioResult run_scenario(const ScenarioConfig& config,
+                            const BlockDigestFn& block_digest = nullptr);
 
 // JSON document describing the run: config, derived fault plan, result.
 // Written by `simctl replay --trace`.

@@ -65,7 +65,9 @@ void Shim::on_block_inserted(const BlockPtr& block) {
 }
 
 std::size_t Shim::collect_garbage() {
-  const std::size_t removed = gossip_.collect_garbage(n_servers_);
+  const std::size_t removed = gossip_.collect_garbage(
+      n_servers_,
+      [this](const std::vector<char>& doomed) { interpreter_.retain_frontier(doomed); });
   if (removed != 0) interpreter_.forget_pruned();
   return removed;
 }

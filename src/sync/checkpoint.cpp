@@ -29,6 +29,13 @@ std::unordered_set<Hash256> builder_tips(const BlockDag& dag) {
   return tips;
 }
 
+// Decoding admits only 32-byte digests.
+Sha256::Digest to_digest(const Bytes& bytes) {
+  Sha256::Digest d{};
+  std::copy_n(bytes.begin(), std::min(bytes.size(), d.size()), d.begin());
+  return d;
+}
+
 Bytes encode_payload(const Checkpoint& cp) {
   Writer w;
   w.u64(cp.epoch);
@@ -43,6 +50,7 @@ Bytes encode_payload(const Checkpoint& cp) {
   for (const Bytes& b : cp.blocks) w.bytes(b);
   for (const CheckpointRecord& rec : cp.records) {
     w.bytes(rec.digest);
+    w.bytes(rec.pis_digest);
     w.u32(static_cast<std::uint32_t>(rec.ms_out.size()));
     for (const auto& [label, msgs] : rec.ms_out) {
       w.u64(label);
@@ -111,6 +119,12 @@ std::optional<Checkpoint> decode_payload(const Bytes& payload) {
     // restore; anything but a SHA-256 output is malformed.
     if (!digest || digest->size() != Sha256::kDigestSize) return std::nullopt;
     rec.digest = std::move(*digest);
+    auto pis_digest = r.bytes();
+    if (!pis_digest || (!pis_digest->empty() &&
+                        pis_digest->size() != Sha256::kDigestSize)) {
+      return std::nullopt;
+    }
+    rec.pis_digest = std::move(*pis_digest);
     const auto n_out = r.u32();
     if (!n_out || *n_out > r.remaining()) return std::nullopt;
     rec.ms_out.reserve(*n_out);
@@ -132,6 +146,8 @@ std::optional<Checkpoint> decode_payload(const Bytes& payload) {
     }
     const auto n_pis = r.u32();
     if (!n_pis || *n_pis > r.remaining()) return std::nullopt;
+    // Only a tip carries B.PIs, and a tip always carries its pis_digest.
+    if (*n_pis != 0 && rec.pis_digest.empty()) return std::nullopt;
     rec.pis.reserve(*n_pis);
     for (std::uint32_t j = 0; j < *n_pis; ++j) {
       const auto label = r.u64();
@@ -195,14 +211,19 @@ std::optional<Checkpoint> build_checkpoint(const Shim& shim,
       rec.ms_out.emplace_back(label, msgs);
     }
     if (tips.count(b->ref())) {
-      rec.pis.reserve(st->pis.size());
-      for (const auto& [label, proc] : st->pis) {
-        Bytes state = proc->serialize();
-        // An empty serialization marks a protocol without checkpoint
-        // support (Process::serialize default) — checkpointing is off for
-        // such deployments.
-        if (state.empty()) return std::nullopt;
-        rec.pis.emplace_back(label, std::move(state));
+      // A lookup: tips hold their B.PIs (nullopt only for a lost state).
+      const std::optional<InstanceMap> pis = interp.instances_at(b->ref());
+      if (pis) {
+        rec.pis_digest.assign(st->pis_digest.begin(), st->pis_digest.end());
+        rec.pis.reserve(pis->size());
+        for (const auto& [label, proc] : *pis) {
+          Bytes state = proc->serialize();
+          // An empty serialization marks a protocol without checkpoint
+          // support (Process::serialize default) — checkpointing is off for
+          // such deployments.
+          if (state.empty()) return std::nullopt;
+          rec.pis.emplace_back(label, std::move(state));
+        }
       }
     }
     cp.blocks.push_back(b->encode());
@@ -270,8 +291,10 @@ bool restore_checkpoint(Shim& shim, const Checkpoint& cp) {
     FlatMap<Label, std::vector<Message>> ms_out;
     ms_out.reserve(rec.ms_out.size());
     for (const auto& [label, msgs] : rec.ms_out) ms_out[label] = msgs;
-    if (!shim.interpreter().restore_block(blocks[i]->ref(), rec.digest,
-                                          std::move(ms_out), rec.pis)) {
+    std::optional<Sha256::Digest> pis_digest;
+    if (!rec.pis_digest.empty()) pis_digest = to_digest(rec.pis_digest);
+    if (!shim.interpreter().restore_block(blocks[i]->ref(), to_digest(rec.digest),
+                                          std::move(ms_out), pis_digest, rec.pis)) {
       return false;
     }
   }

@@ -16,7 +16,10 @@
 //     in the ancestry have out-messages, they also carry line 7's label
 //     range), and — only for per-builder tips, the only blocks that can
 //     become parents of new blocks — the serialized process-instance
-//     states (B.PIs);
+//     states (B.PIs) with their chained pis_digest, which a child's own
+//     pis_digest extends (interpret/interpreter.h). A restored tip lends
+//     copies of its B.PIs to children, so it stays the nearest retained
+//     state a later fork by its builder can start from;
 //   * the user-indication log (so indications() survives the crash
 //     without re-interpretation).
 //
@@ -40,8 +43,9 @@
 namespace blockdag::sync {
 
 // Version 2 dropped the per-record active-label set that version 1
-// carried; a version-1 checkpoint is refused like any version skew.
-inline constexpr std::uint8_t kCheckpointVersion = 2;
+// carried; version 3 adds the tips' pis_digest. Any other version is
+// refused like any version skew.
+inline constexpr std::uint8_t kCheckpointVersion = 3;
 
 // Interpretation artifacts of one live block (aligned with Checkpoint::
 // blocks by position).
@@ -49,7 +53,9 @@ struct CheckpointRecord {
   Bytes digest;  // Interpreter::digest_of output (32 bytes), cached verbatim
   // Ms[out] per label (labels ascending, messages in materialization order).
   std::vector<std::pair<Label, std::vector<Message>>> ms_out;
-  // Serialized B.PIs (labels ascending) — non-empty only for builder tips.
+  // Builder tips only: the chained pis_digest (32 bytes; empty for every
+  // other block) and the serialized B.PIs (labels ascending).
+  Bytes pis_digest;
   std::vector<std::pair<Label, Bytes>> pis;
 };
 

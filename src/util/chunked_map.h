@@ -1,13 +1,14 @@
 // Persistent sorted map: a short vector of immutable, shared chunks.
 //
-// The interpreter keeps B.PIs — every process instance server B.n has
-// simulated up to block B — for every interpreted block, because
-// digest_of (Lemma 4.2) and the line-4 copy of a child block read it
-// later. A child inherits its parent's map wholesale and changes only the
-// few labels its requests and in-messages touch, while the map itself
-// holds every label the builder has ever simulated (hundreds, on long
-// runs). A flat copy per block therefore makes retained memory the sum of
-// all inherited entries.
+// The interpreter's B.PIs holds every process instance server B.n has
+// simulated up to block B. A child inherits its parent's map wholesale
+// and changes only the few labels its requests and in-messages touch,
+// while the map itself holds every label the builder has ever simulated
+// (hundreds, on long runs). A flat copy per block would cost time in the
+// number of labels, and wherever two versions of the map are alive at
+// once (a block restored from a checkpoint, a builder's oldest block
+// surviving a GC, or a forking builder lends copies to its children)
+// memory in the sum of all inherited entries.
 //
 // ChunkedMap splits the sorted entries into chunks of at most kChunk
 // entries, each behind a shared_ptr<const ...>. Copying the map copies
@@ -22,7 +23,8 @@
 // later interior inserts find room. Chunks are never empty.
 //
 // Iteration order is ascending by key, identical to std::map and FlatMap —
-// digest_of() and the checkpoint codec walk it and rely on that order.
+// the checkpoint codec and tests/testing/legacy_digest.h walk it and rely
+// on that order.
 #pragma once
 
 #include <algorithm>

@@ -8,6 +8,7 @@
 #include <set>
 
 #include "runtime/scenario.h"
+#include "testing/legacy_digest.h"
 #include "util/hex.h"
 
 namespace blockdag {
@@ -68,33 +69,46 @@ TEST(Scenario, DeterministicReplay) {
 }
 
 TEST(Scenario, GoldenRunDigests) {
-  // Cross-commit pin: run_digest folds every block's Interpreter::digest_of
-  // (Lemma 4.2), so these fixed values prove the interpretation state — and
-  // the cached_digest checkpoints store — stays byte-identical across
-  // representation changes of B.PIs or of a protocol's internal state.
-  // Reproduce one with `simctl replay --seed S --protocol P --n 4 --trace F`.
+  // Cross-commit pin: run_digest folds a digest of every block's
+  // interpretation state (Lemma 4.2), so fixed values prove that state
+  // stays byte-identical across representation changes of B.PIs, of its
+  // retention, or of a protocol's internal state. Two encodings are pinned
+  // side by side. `legacy` folds the flat digest every value was first
+  // recorded under, rebuilt from Interpreter::instances_at and the
+  // buffers (tests/testing/legacy_digest.h); these strings predate chained
+  // digests and must never change. `chained` folds Interpreter::digest_of
+  // itself, as every runtime does. Reproduce a chained value with
+  // `simctl replay --seed S --protocol P --n 4 --trace F`.
   struct Golden {
     const char* protocol;
     std::uint64_t seed;
-    const char* run_digest;
+    const char* legacy;
+    const char* chained;
   };
   const Golden golden[] = {
-      {"brb", 5, "ce36574c92140668e572cf36d187b31fe590d655cda4a437f2dc2180d14b997e"},
-      {"bcb", 1, "eb01cf35213b2e5fe58fcd4c2d3cf9c6dbcc6951bfb7931dc72e81535c7dd99f"},
-      {"fifo", 7, "c0d19019efadfcf1bf64bc443d1efe1ad3740a97d638c10c7687897051aef58a"},
-      {"pbft", 3, "cf77a7351a5cb1460e57ecd595addd9ec156b836db197813efbceb8dd76bfb6d"},
-      {"beacon", 9, "e80313fdddb314fd735dd5bb64fc04e86296218f256368d46f141591dcbea6d1"},
+      {"brb", 5, "ce36574c92140668e572cf36d187b31fe590d655cda4a437f2dc2180d14b997e",
+       "133dec2625b2432db5f18b3472d34a3253653109545e0e9295e92fc1331855d0"},
+      {"bcb", 1, "eb01cf35213b2e5fe58fcd4c2d3cf9c6dbcc6951bfb7931dc72e81535c7dd99f",
+       "4af64c715cc8bb82028446516737100e700436619f5def983c51095bd0954578"},
+      {"fifo", 7, "c0d19019efadfcf1bf64bc443d1efe1ad3740a97d638c10c7687897051aef58a",
+       "a34cd2d111be4f165e5597712ed7e747106c01473fc794374cc8e3e788f2a42e"},
+      {"pbft", 3, "cf77a7351a5cb1460e57ecd595addd9ec156b836db197813efbceb8dd76bfb6d",
+       "714f2e2313e40ce29d094dda1ea7e2c8212559ff616e4bb22c5fbfa9006497f3"},
+      {"beacon", 9, "e80313fdddb314fd735dd5bb64fc04e86296218f256368d46f141591dcbea6d1",
+       "b8d948ced0090aa3a90139e7e01a1508713a1f3ea52225e327cc5c94d844e4fc"},
   };
+  const auto hex = [](const Bytes& b) { return to_hex(std::span(b.data(), b.size())); };
   for (const Golden& g : golden) {
     ScenarioConfig cfg;
     cfg.seed = g.seed;
     cfg.protocol = g.protocol;
     cfg.n_servers = 4;
-    const ScenarioResult result = run_scenario(cfg);
-    ASSERT_TRUE(result.ok()) << g.protocol << " seed " << g.seed;
-    EXPECT_EQ(to_hex(std::span(result.run_digest.data(), result.run_digest.size())),
-              g.run_digest)
-        << g.protocol << " seed " << g.seed;
+    const ScenarioResult chained = run_scenario(cfg);
+    ASSERT_TRUE(chained.ok()) << g.protocol << " seed " << g.seed;
+    EXPECT_EQ(hex(chained.run_digest), g.chained) << g.protocol << " seed " << g.seed;
+    const ScenarioResult legacy = run_scenario(cfg, testing::legacy_digest_of);
+    ASSERT_TRUE(legacy.ok()) << g.protocol << " seed " << g.seed;
+    EXPECT_EQ(hex(legacy.run_digest), g.legacy) << g.protocol << " seed " << g.seed;
   }
 }
 

@@ -125,7 +125,9 @@ TEST_P(InterpreterProperties, AuthenticityAndProvenance) {
     for (const auto& [label, msgs] : st->ms_in) {
       EXPECT_TRUE(labels.count(label));
     }
-    for (const auto& [label, proc] : st->pis) {
+    const auto pis = interp.instances_at(b->ref());
+    ASSERT_TRUE(pis.has_value());
+    for (const auto& [label, proc] : *pis) {
       EXPECT_TRUE(labels.count(label));
     }
     for (const auto& [label, msgs] : st->ms_out) {

@@ -6,7 +6,9 @@
 
 #include "protocols/brb.h"
 #include "testing/builders.h"
+#include "testing/late_fork.h"
 #include "util/rng.h"
+#include "util/serialize.h"
 
 namespace blockdag {
 namespace {
@@ -276,6 +278,93 @@ TEST_F(InterpreterTest, DigestOfUninterpretedIsStable) {
   dag.insert(b1);
   Interpreter interp(dag, factory, 4);
   EXPECT_EQ(interp.digest_of(b1->ref()), interp.digest_of(b1->ref()));
+}
+
+TEST_F(InterpreterTest, ChildTakesParentInstancesAndDigestIsChained) {
+  // Retention: interpreting b1 moves b0's B.PIs into b1, so only the tip
+  // holds instance state; b0 keeps its buffers and its digests, and its
+  // instances stay readable by replay.
+  const BlockPtr b0 = forge.block(0, 0, {}, {{1, brb::make_broadcast(val(1))}});
+  const BlockPtr b1 = forge.block(0, 1, {b0->ref()}, {{2, brb::make_broadcast(val(2))}});
+  dag.insert(b0);
+  Interpreter interp(dag, factory, 4);
+  interp.run();
+  const auto b0_as_tip = testing::serialized_instances(interp, b0->ref());
+  ASSERT_TRUE(b0_as_tip.has_value());
+  const Bytes b0_digest = interp.digest_of(b0->ref());
+  EXPECT_EQ(interp.stats().blocks_holding_pis, 1u);
+
+  dag.insert(b1);
+  interp.run();
+  EXPECT_FALSE(interp.state_of(b0->ref())->pis.has_value());
+  EXPECT_TRUE(interp.state_of(b1->ref())->pis.has_value());
+  EXPECT_EQ(interp.stats().blocks_holding_pis, 1u);
+  EXPECT_EQ(interp.digest_of(b0->ref()), b0_digest);
+  EXPECT_EQ(testing::serialized_instances(interp, b0->ref()), b0_as_tip);
+  EXPECT_EQ(interp.stats().chain_replays, 0u);
+
+  // pis_digest(b1) = H(pis_digest(b0) ‖ (ℓ, state_digest) per advanced ℓ):
+  // b1 advanced label 1 (its own ECHO, fed from b0's Ms[out]) and label 2
+  // (its request).
+  const BlockInterpretation& s0 = *interp.state_of(b0->ref());
+  const BlockInterpretation& s1 = *interp.state_of(b1->ref());
+  ASSERT_EQ(s1.ms_in.size(), 1u);
+  const auto pis1 = interp.instances_at(b1->ref());
+  ASSERT_TRUE(pis1.has_value());
+  Writer w;
+  w.raw(s0.pis_digest);
+  for (const Label label : {Label{1}, Label{2}}) {
+    w.u64(label);
+    w.bytes(pis1->find(label)->second->state_digest());
+  }
+  EXPECT_EQ(Sha256::digest(w.data()), s1.pis_digest);
+}
+
+TEST_F(InterpreterTest, LateForkReplaysTheBuilderOnce) {
+  // fork_b arrives only after fork_a was interpreted and took b0's B.PIs.
+  // Its parent's state is re-derived by one replay of server 0's chain,
+  // checked against the stored digests, after which server 0 keeps its
+  // B.PIs: later forks by it replay nothing. Every digest and instance
+  // state must match an interpreter that received fork_b first.
+  const testing::LateFork f(forge);
+  BlockDag reference_dag;
+  for (const BlockPtr& b : f.fork_b_first()) ASSERT_TRUE(reference_dag.insert(b));
+  Interpreter reference(reference_dag, factory, 4);
+  reference.run();
+  EXPECT_EQ(reference.stats().chain_replays, 1u);
+
+  Interpreter interp(dag, factory, 4);
+  const auto deliver = [&](const std::vector<BlockPtr>& blocks) {
+    for (const BlockPtr& b : blocks) ASSERT_TRUE(dag.insert(b));
+    interp.run();
+  };
+  const auto expect_matches = [&](const std::vector<BlockPtr>& blocks) {
+    for (const BlockPtr& b : blocks) {
+      EXPECT_TRUE(interp.is_interpreted(b->ref()));
+      EXPECT_EQ(interp.digest_of(b->ref()), reference.digest_of(b->ref()))
+          << b->ref().short_hex();
+      const auto got = testing::serialized_instances(interp, b->ref());
+      ASSERT_TRUE(got.has_value()) << b->ref().short_hex();
+      EXPECT_EQ(got, testing::serialized_instances(reference, b->ref()))
+          << b->ref().short_hex();
+    }
+  };
+
+  deliver(f.early());
+  ASSERT_FALSE(interp.state_of(f.b0->ref())->pis.has_value());
+  EXPECT_EQ(interp.stats().chain_replays, 0u);
+  deliver(f.late());
+  EXPECT_EQ(interp.stats().chain_replays, 1u);
+  expect_matches(f.late());
+
+  deliver(f.later());
+  EXPECT_EQ(interp.stats().chain_replays, 1u);
+  expect_matches(f.later());
+  expect_matches(f.early());
+  EXPECT_EQ(interp.stats().states_lost, 0u);
+  // Server 0 keeps every B.PIs now; server 1 only its tip.
+  EXPECT_EQ(interp.stats().blocks_holding_pis, 7u);
+  EXPECT_EQ(reference.stats().blocks_holding_pis, 7u);
 }
 
 }  // namespace

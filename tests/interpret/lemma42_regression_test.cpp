@@ -107,11 +107,18 @@ TEST(Lemma42Regression, IncrementalRunMatchesOneShotRun) {
 }
 
 // Every label a block's state names — in Ms[in], Ms[out] or PIs.
-std::set<Label> labels_named(const BlockInterpretation& st) {
+std::set<Label> labels_named(const Interpreter& interp, const Hash256& ref) {
   std::set<Label> out;
-  for (const auto& [label, msgs] : st.ms_in) out.insert(label);
-  for (const auto& [label, msgs] : st.ms_out) out.insert(label);
-  for (const auto& [label, proc] : st.pis) out.insert(label);
+  const BlockInterpretation* st = interp.state_of(ref);
+  EXPECT_NE(st, nullptr);
+  if (!st) return out;
+  for (const auto& [label, msgs] : st->ms_in) out.insert(label);
+  for (const auto& [label, msgs] : st->ms_out) out.insert(label);
+  const auto pis = interp.instances_at(ref);
+  EXPECT_TRUE(pis.has_value());
+  if (pis) {
+    for (const auto& [label, proc] : *pis) out.insert(label);
+  }
   return out;
 }
 
@@ -132,11 +139,7 @@ TEST(Lemma42Regression, StateStaysWithinRequestedAncestryLabels) {
   Interpreter interp(dag, factory, 4);
   interp.run();
 
-  const auto named = [&](const BlockPtr& b) {
-    const auto* st = interp.state_of(b->ref());
-    EXPECT_NE(st, nullptr);
-    return st ? labels_named(*st) : std::set<Label>{};
-  };
+  const auto named = [&](const BlockPtr& b) { return labels_named(interp, b->ref()); };
   EXPECT_EQ(named(g0), (std::set<Label>{1}));
   EXPECT_EQ(named(b1), (std::set<Label>{1}));
   EXPECT_EQ(named(b2), (std::set<Label>{1, 2}));
@@ -156,7 +159,7 @@ TEST(Lemma42Regression, StateStaysWithinRequestedAncestryLabels) {
     const auto requested = requested_in_ancestry(rd.dag);
     for (const BlockPtr& b : rd.dag.topological_order()) {
       const std::set<Label>& allowed = requested.at(b->ref());
-      for (Label l : labels_named(*rinterp.state_of(b->ref()))) {
+      for (Label l : labels_named(rinterp, b->ref())) {
         EXPECT_TRUE(allowed.count(l)) << "seed=" << seed << " label=" << l;
       }
     }

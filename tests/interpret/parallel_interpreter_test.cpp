@@ -11,7 +11,8 @@
 // FIFO-BRB streams (slot history shared between clones) at 2 and 8 workers,
 // shard-claim-order independence (salted claim permutations), incremental
 // batch-by-batch interpretation, the serial fallbacks (stopped pool, work
-// below min_batch_work), equivocation forks in the parent chain, an
+// below min_batch_work), equivocation forks in the parent chain (also one
+// arriving after its sibling took the parent's B.PIs), an
 // adversarial byzantine-mix DAG grown by the sim cluster and re-interpreted
 // offline, and the engine mounted on a live ThreadedRuntime.
 #include <gtest/gtest.h>
@@ -25,6 +26,7 @@
 #include "protocols/fifo_brb.h"
 #include "rt/threaded_runtime.h"
 #include "runtime/cluster.h"
+#include "testing/late_fork.h"
 #include "testing/random_dag.h"
 
 namespace blockdag {
@@ -90,6 +92,9 @@ void expect_same_effort(const InterpreterStats& a, const InterpreterStats& b) {
   EXPECT_EQ(a.messages_materialized, b.messages_materialized);
   EXPECT_EQ(a.indications, b.indications);
   EXPECT_EQ(a.instance_clones, b.instance_clones);
+  EXPECT_EQ(a.blocks_holding_pis, b.blocks_holding_pis);
+  EXPECT_EQ(a.chain_replays, b.chain_replays);
+  EXPECT_EQ(a.states_lost, b.states_lost);
 }
 
 TEST(ParallelInterpreter, DifferentialAcrossWorkerCounts) {
@@ -187,8 +192,12 @@ TEST(ParallelInterpreter, BuffersMatchSerialExactly) {
     ASSERT_NE(p, nullptr);
     EXPECT_TRUE(s->ms_in == p->ms_in) << b->ref().short_hex();
     EXPECT_TRUE(s->ms_out == p->ms_out) << b->ref().short_hex();
-    ASSERT_EQ(s->pis.size(), p->pis.size());
-    for (auto si = s->pis.begin(), pi = p->pis.begin(); si != s->pis.end();
+    const auto s_pis = serial.instances_at(b->ref());
+    const auto p_pis = parallel.instances_at(b->ref());
+    ASSERT_TRUE(s_pis.has_value());
+    ASSERT_TRUE(p_pis.has_value());
+    ASSERT_EQ(s_pis->size(), p_pis->size());
+    for (auto si = s_pis->begin(), pi = p_pis->begin(); si != s_pis->end();
          ++si, ++pi) {
       EXPECT_EQ(si->first, pi->first);
       EXPECT_EQ(si->second->state_digest(), pi->second->state_digest());
@@ -318,17 +327,11 @@ TEST(ParallelInterpreter, EquivocationForksInParentChain) {
   // interpreter does, forks included.
   brb::BrbFactory factory;
   BlockForge forge(2);
-  const BlockPtr b0 =
-      forge.block(0, 0, {}, {{1, brb::make_broadcast(Bytes{7})}});
-  const BlockPtr fork_a = forge.block(0, 1, {b0->ref()});
-  const BlockPtr fork_b =
-      forge.block(0, 1, {b0->ref()}, {{2, brb::make_broadcast(Bytes{9})}});
-  ASSERT_NE(fork_a->ref(), fork_b->ref());
-  const BlockPtr c = forge.block(1, 0, {fork_a->ref(), fork_b->ref()});
-  const BlockPtr d = forge.block(0, 2, {fork_a->ref(), c->ref()});
+  const testing::LateFork f(forge);
+  ASSERT_NE(f.fork_a->ref(), f.fork_b->ref());
 
   BlockDag dag;
-  for (const BlockPtr& b : {b0, fork_a, fork_b, c, d}) {
+  for (const BlockPtr& b : {f.b0, f.fork_a, f.fork_b, f.c, f.d}) {
     ASSERT_TRUE(dag.insert(b));
   }
 
@@ -340,6 +343,44 @@ TEST(ParallelInterpreter, EquivocationForksInParentChain) {
   EXPECT_EQ(par.digests, serial.digests);
   EXPECT_EQ(par.indications, serial.indications);
   expect_same_effort(par.stats, serial.stats);
+  EXPECT_EQ(par.stats.chain_replays, 1u);
+
+  // Late fork: fork_b arrives only after fork_a was interpreted and took
+  // b0's B.PIs, so the engine re-derives them before fanning out — one
+  // replay, and none for the later forks. Every digest and instance state
+  // must match the serial interpreter fed the same batches, and one that
+  // received fork_b first.
+  BlockDag reference_dag;
+  for (const BlockPtr& b : f.fork_b_first()) ASSERT_TRUE(reference_dag.insert(b));
+  Interpreter reference(reference_dag, factory, 2);
+  reference.run();
+
+  ParallelInterpreter engine(pcfg);
+  engine.start();
+  BlockDag serial_dag;
+  BlockDag engine_dag;
+  Interpreter serial_late(serial_dag, factory, 2);
+  Interpreter engine_late(engine_dag, factory, 2);
+  const std::vector<BlockPtr> stages[] = {f.early(), f.late(), f.later()};
+  const std::uint64_t replays_after[] = {0, 1, 1};
+  for (std::size_t i = 0; i < 3; ++i) {
+    for (const BlockPtr& b : stages[i]) {
+      ASSERT_TRUE(serial_dag.insert(b));
+      ASSERT_TRUE(engine_dag.insert(b));
+    }
+    serial_late.run();
+    engine.run(engine_late);
+    EXPECT_EQ(engine_late.stats().chain_replays, replays_after[i]) << "stage " << i;
+    expect_same_effort(engine_late.stats(), serial_late.stats());
+  }
+  EXPECT_GT(engine_late.stats().parallel_batches, 0u);
+  for (const BlockPtr& b : f.fork_b_first()) {
+    EXPECT_EQ(engine_late.digest_of(b->ref()), reference.digest_of(b->ref()));
+    EXPECT_EQ(serial_late.digest_of(b->ref()), reference.digest_of(b->ref()));
+    const auto want = testing::serialized_instances(reference, b->ref());
+    ASSERT_TRUE(want.has_value());
+    EXPECT_EQ(testing::serialized_instances(engine_late, b->ref()), want);
+  }
 }
 
 TEST(ParallelInterpreter, ByzantineClusterDagOffline) {

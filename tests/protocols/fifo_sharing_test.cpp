@@ -139,6 +139,50 @@ TEST(FifoSharing, ClonesBehaveLikeDeepCopies) {
   }
 }
 
+// change_digest() (the part of a block's digest an instance contributes,
+// interpret/interpreter.h "Retention") covers only the slots written since
+// the clone, yet given the parent it must pin the whole state: two clones
+// of one parent with equal change digests have equal states. Equal events
+// give equal change digests whether the instance was cloned or restored
+// from the codec.
+TEST(FifoSharing, ChangeDigestPinsTheStateGivenTheParent) {
+  const std::unique_ptr<Process> parent = seasoned_process();
+  EXPECT_NE(parent->clone()->change_digest(), parent->state_digest());
+  std::size_t equal = 0;
+  std::size_t different = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    // A small pool, so that two random runs often reach the same state.
+    const auto random_events = [&rng] {
+      std::vector<Message> events;
+      for (std::uint64_t k = rng.below(3); k > 0; --k) {
+        events.push_back(slot_message(rng.below(2) == 0 ? kEcho : kReady,
+                                      static_cast<ServerId>(2 + rng.below(2)), 1,
+                                      rng.below(2), 40));
+      }
+      return events;
+    };
+    const auto stepped = [](std::unique_ptr<Process> p, const std::vector<Message>& events) {
+      for (const Message& m : events) (void)p->on_message(m);
+      return p;
+    };
+    const std::vector<Message> ea = random_events();
+    const std::vector<Message> eb = random_events();
+    const std::unique_ptr<Process> a = stepped(parent->clone(), ea);
+    const std::unique_ptr<Process> b = stepped(parent->clone(), eb);
+    if (a->change_digest() == b->change_digest()) {
+      ++equal;
+      EXPECT_EQ(a->state_digest(), b->state_digest()) << "seed " << seed;
+    } else {
+      ++different;
+    }
+    EXPECT_EQ(stepped(deep_copy(*parent), ea)->change_digest(), a->change_digest())
+        << "seed " << seed;
+  }
+  EXPECT_GT(equal, 0u);
+  EXPECT_GT(different, 0u);
+}
+
 // The parallel interpreter's workers clone committed instances concurrently
 // and step their clones; the committed instance must never change.
 TEST(FifoSharing, ConcurrentClonesOfACommittedInstance) {

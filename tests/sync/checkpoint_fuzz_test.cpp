@@ -148,10 +148,12 @@ TEST(CheckpointFuzz, VersionSkewIsRefusedFirst) {
   EXPECT_FALSE(sync::decode_signed_checkpoint(future, nullptr, 0).has_value());
 }
 
-// `cp` in the version-1 layout, which also stored an active-label set per
-// record (written here as the record's Ms[out] labels), signed by its owner
-// like a genuine version-1 file.
-Bytes encode_version1(const sync::Checkpoint& cp, SignatureProvider& sigs) {
+// `cp` in an older layout, signed by its owner like a genuine file of that
+// version. Version 1 also stored an active-label set per record (written
+// here as the record's Ms[out] labels); versions 1 and 2 had no
+// pis_digest.
+Bytes encode_legacy(const sync::Checkpoint& cp, SignatureProvider& sigs,
+                    std::uint8_t version) {
   Writer w;
   w.u64(cp.epoch);
   w.u32(cp.self);
@@ -165,8 +167,10 @@ Bytes encode_version1(const sync::Checkpoint& cp, SignatureProvider& sigs) {
   for (const Bytes& b : cp.blocks) w.bytes(b);
   for (const sync::CheckpointRecord& rec : cp.records) {
     w.bytes(rec.digest);
-    w.u32(static_cast<std::uint32_t>(rec.ms_out.size()));
-    for (const auto& [label, msgs] : rec.ms_out) w.u64(label);
+    if (version == 1) {
+      w.u32(static_cast<std::uint32_t>(rec.ms_out.size()));
+      for (const auto& [label, msgs] : rec.ms_out) w.u64(label);
+    }
     w.u32(static_cast<std::uint32_t>(rec.ms_out.size()));
     for (const auto& [label, msgs] : rec.ms_out) {
       w.u64(label);
@@ -186,32 +190,25 @@ Bytes encode_version1(const sync::Checkpoint& cp, SignatureProvider& sigs) {
     w.u64(ind.at);
   }
   const Bytes payload = std::move(w).take();
-  Bytes preimage{1};  // σ covers version ‖ payload
+  Bytes preimage{version};  // σ covers version ‖ payload
   preimage.insert(preimage.end(), payload.begin(), payload.end());
   Writer out;
-  out.u8(1);
+  out.u8(version);
   out.bytes(payload);
   out.bytes(sigs.sign(cp.self, preimage));
   return std::move(out).take();
 }
 
-TEST(CheckpointFuzz, Version1CheckpointIsRefusedCleanly) {
-  // Version 2 dropped the per-record active-label set. A validly signed
-  // version-1 file left in a data dir must be refused outright — never
-  // misparsed as version 2 — and leave a restarting server un-restored.
-  Fixture& f = fixture();
-  const auto cp = sync::decode_signed_checkpoint(f.wire, nullptr, 0);
-  ASSERT_TRUE(cp.has_value());
-  ASSERT_EQ(sync::kCheckpointVersion, 2);
-  const Bytes v1 = encode_version1(*cp, f.cluster.signatures());
-  ASSERT_EQ(v1[0], 1);
-  EXPECT_FALSE(
-      sync::decode_signed_checkpoint(v1, &f.cluster.signatures(), 0).has_value());
-  EXPECT_FALSE(sync::decode_signed_checkpoint(v1, nullptr, 0).has_value());
+// A validly signed file of an older version left in a data dir must be
+// refused outright — never misparsed as the current version — and leave a
+// restarting server un-restored.
+void expect_refused_cleanly(const Bytes& wire, SignatureProvider& sigs) {
+  EXPECT_FALSE(sync::decode_signed_checkpoint(wire, &sigs, 0).has_value());
+  EXPECT_FALSE(sync::decode_signed_checkpoint(wire, nullptr, 0).has_value());
 
   brb::BrbFactory factory;
   sync::MemStore store;
-  ASSERT_TRUE(store.store_checkpoint(1, v1));
+  ASSERT_TRUE(store.store_checkpoint(1, wire));
   Cluster fresh(factory, fuzz_config());
   Shim& shim = fresh.shim(0);
   sync::Checkpointer checkpointer(shim, fresh.signatures(), 4, &store);
@@ -220,6 +217,63 @@ TEST(CheckpointFuzz, Version1CheckpointIsRefusedCleanly) {
   EXPECT_EQ(shim.dag().size(), 0u);
   EXPECT_TRUE(shim.indications().empty());
   EXPECT_FALSE(shim.restoring());
+}
+
+TEST(CheckpointFuzz, Version1CheckpointIsRefusedCleanly) {
+  // Version 2 dropped the per-record active-label set.
+  Fixture& f = fixture();
+  const auto cp = sync::decode_signed_checkpoint(f.wire, nullptr, 0);
+  ASSERT_TRUE(cp.has_value());
+  ASSERT_EQ(sync::kCheckpointVersion, 3);
+  const Bytes v1 = encode_legacy(*cp, f.cluster.signatures(), 1);
+  ASSERT_EQ(v1[0], 1);
+  expect_refused_cleanly(v1, f.cluster.signatures());
+}
+
+TEST(CheckpointFuzz, Version2CheckpointIsRefusedCleanly) {
+  // Version 3 added the tips' pis_digest, which a restored tip's children
+  // chain their own from; a version-2 file has none to offer.
+  Fixture& f = fixture();
+  const auto cp = sync::decode_signed_checkpoint(f.wire, nullptr, 0);
+  ASSERT_TRUE(cp.has_value());
+  ASSERT_EQ(sync::kCheckpointVersion, 3);
+  const Bytes v2 = encode_legacy(*cp, f.cluster.signatures(), 2);
+  ASSERT_EQ(v2[0], 2);
+  expect_refused_cleanly(v2, f.cluster.signatures());
+}
+
+TEST(CheckpointFuzz, PisDigestFieldIsValidated) {
+  // The sweeps above reach the pis_digest field because the fixture's tips
+  // carry one; here its two structural rules are checked directly: a
+  // pis_digest is empty or 32 bytes, and B.PIs come only with one.
+  Fixture& f = fixture();
+  const auto cp = sync::decode_signed_checkpoint(f.wire, nullptr, 0);
+  ASSERT_TRUE(cp.has_value());
+  std::size_t tip = cp->records.size();
+  for (std::size_t i = 0; i < cp->records.size(); ++i) {
+    const sync::CheckpointRecord& rec = cp->records[i];
+    EXPECT_TRUE(rec.pis_digest.empty() || rec.pis_digest.size() == 32u);
+    if (!rec.pis.empty()) {
+      EXPECT_EQ(rec.pis_digest.size(), 32u);
+      tip = i;
+    }
+  }
+  ASSERT_LT(tip, cp->records.size()) << "no tip record carries B.PIs";
+
+  SignatureProvider& sigs = f.cluster.signatures();
+  sync::Checkpoint short_digest = *cp;
+  short_digest.records[tip].pis_digest.pop_back();
+  EXPECT_FALSE(sync::decode_signed_checkpoint(
+                   sync::encode_signed_checkpoint(short_digest, sigs), &sigs, 0)
+                   .has_value());
+  sync::Checkpoint no_digest = *cp;
+  no_digest.records[tip].pis_digest.clear();
+  EXPECT_FALSE(sync::decode_signed_checkpoint(
+                   sync::encode_signed_checkpoint(no_digest, sigs), &sigs, 0)
+                   .has_value());
+  EXPECT_TRUE(sync::decode_signed_checkpoint(
+                  sync::encode_signed_checkpoint(*cp, sigs), &sigs, 0)
+                  .has_value());
 }
 
 TEST(CheckpointFuzz, StorageCrcScreensCorruptionBeforeTheDecoder) {

@@ -8,8 +8,9 @@
 # bench runs seconds-scale and must emit parseable BENCH_*.json), Asan and
 # Ubsan builds running the tier1 ctest label, then a Tsan build running the
 # threaded-runtime, TCP-runtime and UDP-runtime convergence tests, the
-# socket link-layer tests and the vote-tally differential (the tallies
-# engine workers read while cloning instances) under ThreadSanitizer.
+# socket link-layer tests, the vote-tally differential (the tallies
+# engine workers read while cloning instances) and the late-fork and
+# retention tests under ThreadSanitizer.
 # Mirrors .github/workflows/ci.yml; see BUILDING.md for the full command
 # reference.
 set -eu
@@ -78,18 +79,23 @@ cmake --build build-ci-tsan -j "$jobs" \
                rt_udp_runtime_test rt_timer_wheel_test rt_crash_restart_test \
                rt_mailbox_batch_test rt_socket_transport_test \
                crypto_verifier_pool_test interpret_parallel_interpreter_test \
+               interpret_interpreter_test interpret_retention_test \
                protocols_fifo_sharing_test protocol_vote_tally_test
 (cd build-ci-tsan && ctest --output-on-failure \
-    -R '^(rt/(threaded_runtime_test|tcp_runtime_test|udp_runtime_test|timer_wheel_test|crash_restart_test|mailbox_batch_test|socket_transport_test)|crypto/verifier_pool_test|interpret/parallel_interpreter_test|protocols/fifo_sharing_test|protocol/vote_tally_test)$')
+    -R '^(rt/(threaded_runtime_test|tcp_runtime_test|udp_runtime_test|timer_wheel_test|crash_restart_test|mailbox_batch_test|socket_transport_test)|crypto/verifier_pool_test|interpret/(parallel_interpreter_test|interpreter_test|retention_test)|protocols/fifo_sharing_test|protocol/vote_tally_test)$')
 # The pool's shutdown race is timing-shaped: loop the Tsan binaries so the
 # sanitizer sees many distinct stop()-vs-batch interleavings (the parallel
 # interpreter shares the verifier pool's owner-drains-the-bag protocol;
 # the mailbox batch-drain races four producers against the swap; engine
 # workers clone committed FIFO-BRB instances whose slots they share; the
-# socket link layer starts and stops real transports).
+# socket link layer starts and stops real transports; the late-fork and
+# retention tests re-derive a forked builder's instance state and retain
+# only builder tips, on the serial path and under the engine).
 for i in 1 2 3 4 5 6 7 8 9 10; do
   ./build-ci-tsan/crypto_verifier_pool_test >/dev/null
   ./build-ci-tsan/interpret_parallel_interpreter_test >/dev/null
+  ./build-ci-tsan/interpret_interpreter_test >/dev/null
+  ./build-ci-tsan/interpret_retention_test >/dev/null
   ./build-ci-tsan/protocols_fifo_sharing_test >/dev/null
   ./build-ci-tsan/rt_mailbox_batch_test >/dev/null
   ./build-ci-tsan/rt_socket_transport_test >/dev/null

@@ -504,6 +504,11 @@ int run_threaded(const Options& opt, const ProtocolFactory& factory) {
               static_cast<unsigned long long>(is.messages_materialized),
               static_cast<unsigned long long>(is.indications),
               static_cast<unsigned long long>(is.instance_clones));
+  std::printf("instance state retained        : %llu blocks hold B.PIs, "
+              "%llu chain replays, %llu lost states\n",
+              static_cast<unsigned long long>(is.blocks_holding_pis),
+              static_cast<unsigned long long>(is.chain_replays),
+              static_cast<unsigned long long>(is.states_lost));
   std::printf("parallel interpret             : %zu workers, %llu parallel / "
               "%llu serial batches, %llu work units, max shard %llu, "
               "merge %.2f ms\n",
